@@ -10,9 +10,23 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import List, Sequence, TypeVar
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+ZipfConstants = Tuple[float, float, float, float]
+
+#: Exact ``zeta(n, theta)`` for the key universes the workloads draw
+#: from, so no process pays the n-term sum on its first zipf draw. Each
+#: literal is the ``repr`` of the left-to-right float sum
+#: ``acc += 1.0 / (i ** theta)`` for i in 1..n, bit for bit (what
+#: ``sum`` computes on Python 3.11); any other (n, theta) falls back to
+#: :meth:`DeterministicRNG._zeta`'s sum. Compute a new entry with that
+#: plain loop, never with a compensated sum (``math.fsum``, or ``sum``
+#: on Python >= 3.12), which rounds differently.
+ZETA_TABLE: Dict[Tuple[int, float], float] = {
+    (4_000_000, 0.99): 16.994612044998036,  # Redis key space
+    (200_000, 0.99): 13.558760829368774,  # Cassandra YCSB key space
+}
 
 
 class DeterministicRNG:
@@ -70,18 +84,31 @@ class DeterministicRNG:
             raise ValueError(f"zipf needs a positive universe, got {n}")
         if n == 1:
             return 0
-        zetan = self._zeta(n, theta)
-        alpha = 1.0 / (1.0 - theta)
-        eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta(2, theta) / zetan)
+        consts = self._zipf_cache.get((n, theta))
+        if consts is None:
+            consts = self._zipf_constants(n, theta)
+        zetan, alpha, eta, one_cut = consts
         u = self._random.random()
         uz = u * zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** theta:
+        if uz < one_cut:
             return 1
         return int(n * ((eta * u) - eta + 1) ** alpha)
 
-    _zeta_cache: dict = {}
+    #: (n, theta) -> (zetan, alpha, eta, 1 + 0.5**theta), built on first use.
+    _zipf_cache: Dict[Tuple[int, float], ZipfConstants] = {}
+
+    @classmethod
+    def _zipf_constants(cls, n: int, theta: float) -> ZipfConstants:
+        zetan = cls._zeta(n, theta)
+        alpha = 1.0 / (1.0 - theta)
+        eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - cls._zeta(2, theta) / zetan)
+        consts = (zetan, alpha, eta, 1.0 + 0.5 ** theta)
+        cls._zipf_cache[(n, theta)] = consts
+        return consts
+
+    _zeta_cache: Dict[Tuple[int, float], float] = dict(ZETA_TABLE)
 
     @classmethod
     def _zeta(cls, n: int, theta: float) -> float:

@@ -163,7 +163,7 @@ class RadixTree:
 
         One flat generator with an explicit stack — the recursive
         ``yield from`` formulation resumes depth-many generators per
-        yielded page, which dominated writeback's full-cache scans.
+        yielded value.
         ``REPRO_NO_HOTPATH=1`` keeps the recursive walk (same order).
         """
         root = self._root

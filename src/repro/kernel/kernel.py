@@ -771,8 +771,10 @@ class Kernel:
 
         Cross-checks every allocator's alloc/free balance against its live
         structures, the tier page counters against the frame table, and
-        the KLOC metadata counters against a recomputation. Raises
-        :class:`~repro.core.errors.SanitizerError` on any leak; returns
+        the KLOC metadata counters against a recomputation, and runs the
+        filesystem's fsck sweep. Raises
+        :class:`~repro.core.errors.SanitizerError` on any leak (and
+        :class:`~repro.core.errors.VFSError` on a corrupt page cache); returns
         the sanitizer's summary counters (None when the mode is off).
         Read-only — charges no simulated time, so callers may audit after
         building their payload without perturbing it.
@@ -822,6 +824,7 @@ class Kernel:
         )
         if self.kloc_manager is not None:
             self.kloc_manager.verify_counters()
+        self.fs.check_consistency()
         return san.report()
 
     def __repr__(self) -> str:

@@ -231,6 +231,8 @@ class Filesystem:
                 self.cache_mgr.note_access(page)
                 self._charge_index_walk(cache, cpu=cpu)
             chunk = self._chunk_bytes(offset, nbytes, index)
+            # Index before dirtying: the access may fire the writeback timer.
+            cache.dirty[index] = page
             self.ctx.access_object(page.obj, chunk, write=True, cpu=cpu)
 
         inode.size_bytes = max(inode.size_bytes, offset + nbytes)
@@ -313,6 +315,7 @@ class Filesystem:
             )
             for page in dirty:
                 page.clean()
+        cache.dirty.clear()
         self.journal.commit(cpu=cpu, background=background)
         return len(dirty)
 
@@ -430,7 +433,8 @@ class Filesystem:
 
         Verifies: every dentry's inode is registered and undeleted; every
         registered page cache belongs to a live inode; cached pages map
-        within their file's size; open handles reference open inodes; and
+        within their file's size and, when dirty, in its dirty index (which
+        names only cached pages); open handles reference open inodes; and
         the global LRU count matches the per-inode caches.
         """
         live_inos = {inode.ino for inode in self.inodes.live_inodes()}
@@ -458,6 +462,10 @@ class Filesystem:
                         f"inode {ino} caches page {page.index} beyond EOF "
                         f"({inode.size_bytes} bytes)"
                     )
+                if page.dirty and cache.dirty.get(page.index) is not page:
+                    raise VFSError(f"inode {ino} page {page.index} dirty, unindexed")
+            if any(cache.lookup(i) is not p for i, p in cache.dirty.items()):
+                raise VFSError(f"inode {ino} dirty index names an uncached page")
         if total_cached != self.cache_mgr.total_pages:
             raise VFSError(
                 f"page cache LRU holds {self.cache_mgr.total_pages} pages, "
@@ -468,7 +476,7 @@ class Filesystem:
                 raise VFSError(f"stale handle fd={handle.fd}")
 
     def dirty_page_count(self) -> int:
-        return sum(1 for p in self.cache_mgr.all_pages() if p.dirty)
+        return sum(len(cache.dirty_pages()) for cache in self.cache_mgr.caches())
 
     def file_count(self) -> int:
         return len(self.dcache)

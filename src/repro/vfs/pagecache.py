@@ -11,7 +11,7 @@ gives cache pages their ~160ms lifetimes (Fig 2d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.alloc.base import KernelObject
 from repro.core.errors import SimulationError
@@ -65,6 +65,9 @@ class PageCache:
         self.tree = RadixTree(
             on_node_alloc=self._node_alloc, on_node_free=self._node_free
         )
+        #: Dirty index: every dirty cached page (and maybe stale clean
+        #: ones). Enter a page here before dirtying its frame.
+        self.dirty: Dict[int, CachePage] = {}
 
     def _node_alloc(self, node) -> None:
         node.token = self._alloc_node()
@@ -90,13 +93,14 @@ class PageCache:
             )
 
     def remove(self, index: int) -> Optional[CachePage]:
+        self.dirty.pop(index, None)
         return self.tree.delete(index)
 
     def pages(self) -> List[CachePage]:
         return [page for _idx, page in self.tree.items()]
 
     def dirty_pages(self) -> List[CachePage]:
-        return [p for p in self.pages() if p.dirty]
+        return [page for _i, page in sorted(self.dirty.items()) if page.dirty]
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -158,8 +162,9 @@ class PageCacheManager:
                 victims.append((cache, page))
         return victims
 
-    def all_pages(self) -> List[CachePage]:
-        return [p for cache in self._caches.values() for p in cache.pages()]
+    def caches(self) -> Iterable[PageCache]:
+        """Registered caches, oldest inode first."""
+        return self._caches.values()
 
     def __repr__(self) -> str:
         return f"PageCacheManager({self.total_pages}/{self.max_pages} pages)"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.hotpath import hotpath_enabled
 from repro.core.units import MS
 
 if TYPE_CHECKING:
@@ -44,7 +43,6 @@ class WritebackDaemon:
         self.wakeups = 0
         self.pages_flushed = 0
         self._started = False
-        self._hot = hotpath_enabled()
 
     def start(self) -> None:
         """Register with the clock; safe to call once."""
@@ -59,37 +57,22 @@ class WritebackDaemon:
         self.fs.journal.commit(background=True)
 
     def flush(self, max_pages: int) -> int:
-        """Write back up to ``max_pages`` dirty pages (oldest inodes first)."""
+        """Write back up to ``max_pages`` dirty pages: oldest inodes first,
+        then page index order, read from each cache's dirty index."""
         flushed = 0
         submit = self.fs.blk.submit_pages
-        if self._hot:
-            # Walk the per-inode trees directly, in all_pages() order
-            # (cache registration order, then page index), without
-            # materializing the full page list each wakeup, and stop as
-            # soon as the batch quota is met. Same pages flushed in the
-            # same order; ``REPRO_NO_HOTPATH=1`` keeps the full-list scan.
-            for cache in self.fs.cache_mgr._caches.values():  # noqa: SLF001
-                if flushed >= max_pages:
-                    break
-                for _idx, page in cache.tree.items():
-                    if flushed >= max_pages:
-                        break
-                    frame = page.obj.frame
-                    if not frame.dirty:
-                        continue
-                    submit(1, write=True, sequential=True, background=True)
-                    frame.dirty = False
-                    flushed += 1
-            self.pages_flushed += flushed
-            return flushed
-        for page in self.fs.cache_mgr.all_pages():
+        for cache in self.fs.cache_mgr.caches():
             if flushed >= max_pages:
                 break
-            if not page.dirty:
-                continue
-            submit(1, write=True, sequential=True, background=True)
-            page.clean()
-            flushed += 1
+            dirty = cache.dirty
+            for index in sorted(dirty):
+                if flushed >= max_pages:
+                    break
+                page = dirty.pop(index, None)  # None: reclaimed mid-flush
+                if page is not None and page.dirty:
+                    submit(1, write=True, sequential=True, background=True)
+                    page.clean()
+                    flushed += 1
         self.pages_flushed += flushed
         return flushed
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import SanitizerError, SimulationError
+from repro.core.errors import SanitizerError, SimulationError, VFSError
 from repro.core.objtypes import KernelObjectType
 from repro.experiments.runner import make_workload
 from repro.mem.frame import PageOwner
@@ -183,6 +183,46 @@ def test_tier_alloc_drift_detected_at_teardown(sankernel):
     sankernel.topology.tier("fast").total_allocs += 1  # a lost alloc count
     with pytest.raises(SanitizerError, match="counter drift"):
         sankernel.sanitize_teardown()
+
+
+# ----------------------------------------------------------------------
+# Injected bug 4: a page-cache page dirtied behind the dirty index
+# ----------------------------------------------------------------------
+
+
+def _clean_cached_page(kernel):
+    """A clean page of a written-then-fsynced file, with its cache."""
+    fs = kernel.fs
+    fh = fs.create("/dirty-index")
+    fs.write(fh, 0, 4 * 4096)
+    fs.fsync(fh)
+    cache = fs.cache_mgr.cache_for(fh.inode.ino)
+    page = cache.lookup(2)
+    assert page is not None and not page.dirty
+    return cache, page
+
+
+def test_unindexed_dirty_page_detected_at_teardown(sankernel):
+    cache, page = _clean_cached_page(sankernel)
+    cache.dirty.pop(page.index, None)
+    page.obj.frame.dirty = True  # a write that skipped the index
+    with pytest.raises(VFSError, match="dirty, unindexed"):
+        sankernel.sanitize_teardown()
+
+
+def test_index_entry_for_uncached_page_detected(sankernel):
+    cache, page = _clean_cached_page(sankernel)
+    cache.dirty[page.index + 100] = page  # an entry reclaim failed to drop
+    with pytest.raises(VFSError, match="uncached page"):
+        sankernel.sanitize_teardown()
+
+
+def test_indexed_writes_pass_the_check(sankernel):
+    cache, page = _clean_cached_page(sankernel)
+    cache.dirty[page.index] = page
+    page.obj.frame.dirty = True  # the dirtying contract, followed
+    sankernel.fs.check_consistency()
+    assert sankernel.fs.dirty_page_count() == 1
 
 
 # ----------------------------------------------------------------------

@@ -62,10 +62,20 @@ class TestPageCache:
         cache = make_cache(kernel)
         a = make_page(kernel, cache, 0)
         b = make_page(kernel, cache, 1)
+        # Dirtying contract: enter the page in the dirty index, then dirty it.
+        cache.dirty[a.index] = a
         a.obj.frame.dirty = True
         assert cache.dirty_pages() == [a]
         a.clean()
-        assert cache.dirty_pages() == []
+        assert cache.dirty_pages() == []  # a stale entry is not reported
+
+    def test_remove_drops_dirty_index_entry(self, kernel):
+        cache = make_cache(kernel)
+        a = make_page(kernel, cache, 4)
+        cache.dirty[a.index] = a
+        a.obj.frame.dirty = True
+        cache.remove(4)
+        assert cache.dirty == {}
 
     def test_pages_listing(self, kernel):
         cache = make_cache(kernel)
