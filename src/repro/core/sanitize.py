@@ -194,9 +194,9 @@ class Sanitizer:
     # counter cross-checks (scan boundaries + teardown)
     # ------------------------------------------------------------------
 
-    def expect(self, what: str, incremental: int, recomputed: int) -> None:
-        """Fail if an incrementally maintained counter drifted from the
-        ground-truth recomputation."""
+    def expect(self, what: str, incremental: object, recomputed: object) -> None:
+        """Fail if an incrementally maintained counter (or cached value)
+        drifted from the ground-truth recomputation."""
         self.cross_checks += 1
         if incremental != recomputed:
             raise SanitizerError(

@@ -6,22 +6,35 @@ reports, and the benchmark suite under ``benchmarks/`` drives these
 functions one-to-one.
 """
 
-from repro.experiments.cache import ResultCache, RunSpec, SIM_VERSION, two_tier_spec
-from repro.experiments.fig2 import (
-    run_fig2a_footprint,
-    run_fig2b_scaling,
-    run_fig2c_references,
-    run_fig2d_lifetimes,
-)
-from repro.experiments.fig4 import run_figure4
-from repro.experiments.fig5 import run_fig5a_optane, run_fig5b_sources, run_fig5c_objtypes
-from repro.experiments.fig6 import run_figure6
-from repro.experiments.percpu_ablation import run_percpu_ablation
-from repro.experiments.prefetch import run_prefetch_study
-from repro.experiments.parallel import default_jobs, run_specs
-from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.runner import TwoTierRun, run_two_tier
-from repro.experiments.table6 import run_table6_overhead
+import importlib
+from typing import Any
+
+#: Public name -> defining module. Resolved on first attribute access
+#: (PEP 562), so importing one submodule such as ``runner`` does not load
+#: every figure module and the process pool.
+_EXPORTS = {
+    "ResultCache": "cache",
+    "RunSpec": "cache",
+    "SIM_VERSION": "cache",
+    "two_tier_spec": "cache",
+    "run_fig2a_footprint": "fig2",
+    "run_fig2b_scaling": "fig2",
+    "run_fig2c_references": "fig2",
+    "run_fig2d_lifetimes": "fig2",
+    "run_figure4": "fig4",
+    "run_fig5a_optane": "fig5",
+    "run_fig5b_sources": "fig5",
+    "run_fig5c_objtypes": "fig5",
+    "run_figure6": "fig6",
+    "run_percpu_ablation": "percpu_ablation",
+    "run_prefetch_study": "prefetch",
+    "default_jobs": "parallel",
+    "run_specs": "parallel",
+    "EXPERIMENTS": "registry",
+    "TwoTierRun": "runner",
+    "run_two_tier": "runner",
+    "run_table6_overhead": "table6",
+}
 
 __all__ = [
     "run_two_tier",
@@ -46,3 +59,12 @@ __all__ = [
     "run_prefetch_study",
     "EXPERIMENTS",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -23,8 +23,8 @@ class KMap:
         self._tree = RedBlackTree()
         # Host-side id → knode shadow of the rbtree. The tree remains the
         # modeled structure (its size drives metadata accounting, its
-        # counters drive the §4.3 statistics); the dict just resolves a
-        # pointer in O(1) for paths that model a direct pointer chase.
+        # counters drive the §4.3 statistics); the dict resolves pointers
+        # in O(1) and lists the knodes in the tree's key order (see add).
         self._by_id: dict = {}
         self.rcu = RCUDomain("kmap")
         self.rbtree_accesses = 0
@@ -37,8 +37,8 @@ class KMap:
 
     def add(self, knode: Knode) -> None:
         """Table 2's add_to_kmap()."""
-        if knode.knode_id in self._by_id:
-            raise SimulationError(f"knode {knode.knode_id} already in kmap")
+        if self._by_id and knode.knode_id <= next(reversed(self._by_id)):
+            raise SimulationError(f"knode {knode.knode_id} not above the kmap's ids")
         self.rcu.write()
         self._tree.insert(knode.knode_id, knode)
         self._by_id[knode.knode_id] = knode
@@ -77,7 +77,7 @@ class KMap:
         self.rcu.read()
         candidates = [
             k
-            for k in self._tree.values()
+            for k in self._by_id.values()
             if not k.inuse or k.age >= cold_age
         ]
         candidates.sort(key=lambda k: (k.inuse, k.last_access))
@@ -86,10 +86,10 @@ class KMap:
         return candidates
 
     def all_knodes(self) -> List[Knode]:
-        return list(self._tree.values())
+        return list(self._by_id.values())
 
     def total_metadata_bytes(self) -> int:
-        return sum(k.metadata_bytes() for k in self._tree.values())
+        return sum(k.metadata_bytes() for k in self._by_id.values())
 
     def __repr__(self) -> str:
         return f"KMap(knodes={len(self)}, rbtree_accesses={self.rbtree_accesses})"

@@ -11,10 +11,9 @@ per tracked object plus a 64-byte knode structure per inode.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
+from typing import Iterator, List, Optional, Set
 
 from repro.alloc.base import KernelObject
-from repro.core.hotpath import hotpath_enabled
 from repro.core.objtypes import AllocatorKind
 from repro.ds.rbtree import NIL, RedBlackTree
 from repro.mem.frame import PageFrame
@@ -42,7 +41,8 @@ class Knode:
         self.created_at = created_at
         self.last_access = created_at
         self.peak_objects = 0
-        self._hot = hotpath_enabled()
+        #: :meth:`walk_frames`'s result, or None after a membership change.
+        self._frames: Optional[List[PageFrame]] = None
 
     # ------------------------------------------------------------------
     # membership
@@ -64,6 +64,7 @@ class Knode:
             self.rbtree_slab.insert(obj.oid, obj)
         else:
             self.rbtree_cache.insert(obj.oid, obj)
+        self._frames = None
         count = len(self.rbtree_cache) + len(self.rbtree_slab)
         if count > self.peak_objects:
             self.peak_objects = count
@@ -73,8 +74,12 @@ class Knode:
             "slab",
             "kloc",
         ):
-            return self.rbtree_slab.delete(obj.oid)
-        return self.rbtree_cache.delete(obj.oid)
+            removed = self.rbtree_slab.delete(obj.oid)
+        else:
+            removed = self.rbtree_cache.delete(obj.oid)
+        if removed:
+            self._frames = None
+        return removed
 
     def has_obj(self, obj: KernelObject) -> bool:
         return obj.oid in self._tree_for(obj)
@@ -120,27 +125,20 @@ class Knode:
     # ------------------------------------------------------------------
 
     def frames(self) -> List[PageFrame]:
-        """Distinct live backing frames under this knode's subtree — the
-        unit batch §4.4 migrates en masse.
+        """Distinct live frames under this knode — the unit §4.4 migrates
+        en masse — in :meth:`walk_frames` order. The walk is redone only
+        after :meth:`add_obj`/:meth:`remove_obj` change membership; frames
+        freed in between are filtered here."""
+        cached = self._frames
+        if cached is None:
+            cached = self._frames = self.walk_frames()
+        return [f for f in cached if f.freed_at is None]
 
-        Walks the two subtrees' nodes in-order with an explicit stack
-        (cache tree first, as :meth:`iter_all` does) — the daemon calls
-        this for every candidate knode per pass, and generator
-        resumptions dominated the generator-based formulations.
-        ``REPRO_NO_HOTPATH=1`` keeps the :meth:`iter_all` chain (same
-        frames, same order).
-        """
+    def walk_frames(self) -> List[PageFrame]:
+        """In-order walk of both subtrees (cache tree first), first live
+        occurrence of a frame winning; an explicit stack, not generators."""
         seen: Set[int] = set()
         out: List[PageFrame] = []
-        if not self._hot:
-            for obj in self.iter_all():
-                frame = obj.frame
-                if frame.freed_at is None:
-                    fid = frame.fid
-                    if fid not in seen:
-                        seen.add(fid)
-                        out.append(frame)
-            return out
         for tree in (self.rbtree_cache, self.rbtree_slab):
             stack: List = []
             node = tree.root

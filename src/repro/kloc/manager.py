@@ -384,6 +384,9 @@ class KlocManager:
         members = 0
         for knode in knodes:
             members += knode.object_count
+            san.expect(
+                f"knode #{knode.knode_id} frame cache", knode.frames(), knode.walk_frames()
+            )
         san.expect(
             "KlocManager._tracked_objects (rb-tree pointers)",
             self._tracked_objects,

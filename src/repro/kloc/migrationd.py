@@ -84,14 +84,15 @@ class KlocMigrationDaemon:
     # ------------------------------------------------------------------
 
     def knode_frames(self, knode: "Knode") -> List[PageFrame]:
-        """All live frames under the knode subtree, including the KLOC
-        allocator's knode-grouped slab-replacement pages."""
-        frames = {f.fid: f for f in knode.frames()}
+        """Live frames under the knode subtree, then the KLOC allocator's live
+        pages of the knode not among them (read fresh; see docs/API.md)."""
+        frames = knode.frames()
         if self.kloc_allocator is not None:
-            for frame in self.kloc_allocator.knode_frames(knode.knode_id):
-                if frame.live:
-                    frames.setdefault(frame.fid, frame)
-        return list(frames.values())
+            pages = self.kloc_allocator.knode_frames(knode.knode_id)
+            if pages:
+                have = set(frames)
+                frames += [f for f in pages if f.freed_at is None and f not in have]
+        return frames
 
     def downgrade_knode(self, knode: "Knode") -> int:
         """Move one cold knode's objects to slow memory (en masse)."""

@@ -8,7 +8,7 @@ paper measures a 54% reduction in rbtree-cache/rbtree-slab accesses.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.hotpath import hot, hotpath_enabled
 from repro.ds.percpu import PerCPUListSet
@@ -78,9 +78,6 @@ class PerCPUKnodeCache:
         """Table 2's find_cpu(): a CPU that recently touched the knode."""
         cpus = self.lists.find_cpus(knode_id)
         return cpus[-1] if cpus else None
-
-    def knodes_for_cpu(self, cpu: int) -> List[int]:
-        return self.lists.entries(cpu)
 
     def rbtree_access_reduction(self) -> float:
         """Fraction of lookups absorbed by the fast path (§4.3's 54%)."""

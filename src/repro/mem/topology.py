@@ -322,12 +322,10 @@ class MemoryTopology:
         return self.tiers[tier_name].used_pages
 
     def kernel_pages_in(self, tier_name: str) -> int:
-        """Live kernel-object pages on one tier (everything but APP)."""
-        return sum(
-            count
-            for (tier, owner), count in self.live_count.items()
-            if tier == tier_name and owner.is_kernel
-        )
+        """Live kernel-object pages on one tier: every owner but APP is
+        kernel, and ``used_pages`` counts the tier's live frames."""
+        app = self.live_count.get((tier_name, PageOwner.APP), 0)
+        return self._tier(tier_name).used_pages - app
 
     def live_pages_by_owner(self, owner: PageOwner) -> int:
         return sum(
@@ -398,6 +396,9 @@ class MemoryTopology:
                     f"tier {name}: frame table has {per_tier[name]} frames, "
                     f"counter says {tier.used_pages}"
                 )
+            k = sum(n for (t, o), n in self.live_count.items() if t == name and o.is_kernel)
+            if k != self.kernel_pages_in(name):
+                raise SimulationError(f"tier {name}: kernel_pages_in != owner sum {k}")
         live_total = sum(self.live_count.values())
         if live_total != len(self.frames):
             raise SimulationError(

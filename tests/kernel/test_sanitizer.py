@@ -226,6 +226,25 @@ def test_indexed_writes_pass_the_check(sankernel):
 
 
 # ----------------------------------------------------------------------
+# Injected bug 5: a knode member inserted behind add_obj
+# ----------------------------------------------------------------------
+
+
+def test_member_inserted_behind_add_obj_detected_at_scan(sankernel):
+    _populate(sankernel)
+    knode = next(
+        k for k in sankernel.kloc_manager.kmap.all_knodes() if k.object_count
+    )
+    knode.frames()  # the walk is now cached
+    obj = sankernel.alloc_object(KernelObjectType.PAGE_CACHE)  # its own frame
+    knode.rbtree_cache.insert(obj.oid, obj)  # a membership change add_obj missed
+    with pytest.raises(SanitizerError) as exc:
+        sankernel.kloc_daemon.run(sankernel.clock.now())
+    msg = str(exc.value)
+    assert f"knode #{knode.knode_id} frame cache" in msg
+
+
+# ----------------------------------------------------------------------
 # Clean run: the audit passes and reports its coverage
 # ----------------------------------------------------------------------
 

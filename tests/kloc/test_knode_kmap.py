@@ -107,6 +107,18 @@ class TestKMap:
         with pytest.raises(SimulationError):
             kmap.add(Knode(1, ino=11))
 
+    def test_ids_must_grow(self):
+        """The id -> knode dict lists knodes in the tree's key order only
+        while ids are added in increasing order."""
+        kmap = KMap()
+        kmap.add(Knode(2, ino=10))
+        with pytest.raises(SimulationError):
+            kmap.add(Knode(1, ino=11))
+        kmap.add(Knode(5, ino=12))
+        kmap.remove(5)
+        kmap.add(Knode(3, ino=13))  # above every id still present
+        assert [k.knode_id for k in kmap.all_knodes()] == [2, 3]
+
     def test_rbtree_access_counting(self):
         kmap = KMap()
         kmap.add(Knode(1, ino=10))

@@ -133,6 +133,25 @@ class TestCounters:
                 live = live[5:]
         topo.check_invariants()
 
+    def test_kernel_pages_in_excludes_app_pages(self, topo):
+        topo.allocate(3, ["fast"], PageOwner.APP)
+        topo.allocate(2, ["fast"], PageOwner.SLAB)
+        (moved,) = topo.allocate(1, ["fast"], PageOwner.PAGE_CACHE)
+        topo.move_frame(moved, "slow")
+        assert topo.kernel_pages_in("fast") == 2
+        assert topo.kernel_pages_in("slow") == 1
+        assert ("slow", PageOwner.APP) not in topo.live_count  # read, not inserted
+
+    def test_per_tier_live_count_drift_detected(self, topo):
+        topo.allocate(2, ["fast"], PageOwner.SLAB)
+        topo.allocate(2, ["slow"], PageOwner.SLAB)
+        # A move that updated the source tier's count but credited the
+        # wrong tier: the global sum still balances.
+        topo.live_count[("fast", PageOwner.SLAB)] -= 1
+        topo.live_count[("slow", PageOwner.SLAB)] += 1
+        with pytest.raises(SimulationError, match="kernel_pages_in"):
+            topo.check_invariants()
+
 
 class TestMoveFrame:
     def test_move_updates_tiers_and_counters(self, topo):
