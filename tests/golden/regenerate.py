@@ -1,0 +1,45 @@
+"""Recompute every golden digest and rewrite ``tests/golden/digests.json``.
+
+Run from the repository root after a deliberate behaviour change (one
+that bumps ``repro.core.version.SIM_VERSION``)::
+
+    PYTHONPATH=src python -m tests.golden.regenerate
+
+The file records the ``SIM_VERSION`` it was generated under; the golden
+test refuses a digest change that comes without a version bump.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from time import perf_counter
+
+from tests.golden import grid
+
+
+def main() -> int:
+    from repro.core.version import SIM_VERSION
+
+    os.environ["REPRO_NO_CACHE"] = "1"
+    digests = {}
+    for platform, workload, policy in grid.cells():
+        t0 = perf_counter()
+        cid = grid.cell_id(platform, workload, policy)
+        digests[cid] = grid.compute(platform, workload, policy)
+        print(f"{cid:32s} {digests[cid][:16]}  {perf_counter() - t0:.1f}s", file=sys.stderr)
+    record = {
+        "sim_version": SIM_VERSION,
+        "ops": grid.OPS,
+        "seed": grid.SEED,
+        "scale_factor": grid.SCALE_FACTOR,
+        "digests": digests,
+    }
+    grid.DIGESTS_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {grid.DIGESTS_PATH}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
