@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Warm-start benchmark: snapshot-restored sweeps vs. cold setup replays.
 
-``op_bench.py`` times the measurement loop; this bench times the part
-snapshots eliminate — the **setup phase**. The measured job is a
+``perfbench/run.py`` times cold cells end to end; this bench times the
+part snapshots eliminate — the **setup phase**. The measured job is a
 fig5b-style sweep (rocksdb under every placement policy, across an ops
 ladder): with snapshots disabled every cell replays the full load phase,
 with snapshots enabled only the first cell per (workload, policy) pays

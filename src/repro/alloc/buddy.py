@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.clock import Clock
 from repro.core.errors import SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.sanitize import call_site
 from repro.alloc.base import ALLOC_COSTS, AllocatorStats, KernelObject
@@ -39,7 +39,6 @@ class PageAllocator:
     def __init__(self, topology: MemoryTopology, clock: Clock) -> None:
         self.topology = topology
         self.clock = clock
-        self._hot = hotpath_enabled()
         self._san = topology.sanitizer
         self.stats = AllocatorStats()
         self._next_oid = 0
@@ -115,14 +114,7 @@ class PageAllocator:
         oid = self._next_oid
         self._next_oid += 1
         self.stats.cpu_cost_ns += _PAGE_COST
-        if self._hot:
-            # clock.advance(_PAGE_COST), inlined (constant cost > 0).
-            clock = self.clock
-            clock._now = t = clock._now + _PAGE_COST  # noqa: SLF001
-            if t >= clock._next_deadline:  # noqa: SLF001
-                clock._fire_due()  # noqa: SLF001
-        else:
-            self.clock.advance(_PAGE_COST)
+        self.clock.advance(_PAGE_COST)
         return KernelObject(
             oid=oid,
             otype=otype,
@@ -153,14 +145,7 @@ class PageAllocator:
             san.poison_object(obj)
         cost = _PAGE_FREE_COST
         if now_ns is None:
-            if self._hot:
-                # clock.advance(cost), inlined (constant cost > 0).
-                clock = self.clock
-                clock._now = t = clock._now + cost  # noqa: SLF001
-                if t >= clock._next_deadline:  # noqa: SLF001
-                    clock._fire_due()  # noqa: SLF001
-            else:
-                self.clock.advance(cost)
+            self.clock.advance(cost)
         return cost
 
     def __repr__(self) -> str:

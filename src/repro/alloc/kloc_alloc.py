@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.clock import Clock
 from repro.core.errors import SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.sanitize import call_site
 from repro.core.units import PAGE_SIZE
@@ -72,7 +72,6 @@ class KlocAllocator:
     def __init__(self, topology: MemoryTopology, clock: Clock) -> None:
         self.topology = topology
         self.clock = clock
-        self._hot = hotpath_enabled()
         self._san = topology.sanitizer
         self.stats = AllocatorStats()
         self._next_oid = 0
@@ -124,14 +123,7 @@ class KlocAllocator:
 
         self.stats.allocs += 1
         self.stats.cpu_cost_ns += _KLOC_COST
-        if self._hot:
-            # clock.advance(_KLOC_COST), inlined (constant cost > 0).
-            clock = self.clock
-            clock._now = t = clock._now + _KLOC_COST  # noqa: SLF001
-            if t >= clock._next_deadline:  # noqa: SLF001
-                clock._fire_due()  # noqa: SLF001
-        else:
-            self.clock.advance(_KLOC_COST)
+        self.clock.advance(_KLOC_COST)
         return KernelObject(
             oid=oid,
             otype=otype,
@@ -179,14 +171,7 @@ class KlocAllocator:
             san.poison_object(obj)
         cost = _KLOC_FREE_COST
         if now_ns is None:
-            if self._hot:
-                # clock.advance(cost), inlined (constant cost > 0).
-                clock = self.clock
-                clock._now = t = clock._now + cost  # noqa: SLF001
-                if t >= clock._next_deadline:  # noqa: SLF001
-                    clock._fire_due()  # noqa: SLF001
-            else:
-                self.clock.advance(cost)
+            self.clock.advance(cost)
         return cost
 
     def knode_frames(self, knode_id: Optional[int]) -> List[PageFrame]:

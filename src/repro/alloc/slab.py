@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.clock import Clock
 from repro.core.errors import SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.sanitize import call_site
 from repro.core.units import PAGE_SIZE
@@ -71,7 +71,6 @@ class SlabAllocator:
     def __init__(self, topology: MemoryTopology, clock: Clock) -> None:
         self.topology = topology
         self.clock = clock
-        self._hot = hotpath_enabled()
         self._san = topology.sanitizer
         self.stats = AllocatorStats()
         self._caches: Dict[KernelObjectType, _KmemCache] = {}
@@ -127,14 +126,7 @@ class SlabAllocator:
 
         self.stats.allocs += 1
         self.stats.cpu_cost_ns += _SLAB_COST
-        if self._hot:
-            # clock.advance(_SLAB_COST), inlined (constant cost > 0).
-            clock = self.clock
-            clock._now = t = clock._now + _SLAB_COST  # noqa: SLF001
-            if t >= clock._next_deadline:  # noqa: SLF001
-                clock._fire_due()  # noqa: SLF001
-        else:
-            self.clock.advance(_SLAB_COST)
+        self.clock.advance(_SLAB_COST)
         return KernelObject(
             oid=oid,
             otype=otype,
@@ -180,14 +172,7 @@ class SlabAllocator:
             san.poison_object(obj)
         cost = _SLAB_FREE_COST
         if now_ns is None:
-            if self._hot:
-                # clock.advance(cost), inlined (constant cost > 0).
-                clock = self.clock
-                clock._now = t = clock._now + cost  # noqa: SLF001
-                if t >= clock._next_deadline:  # noqa: SLF001
-                    clock._fire_due()  # noqa: SLF001
-            else:
-                self.clock.advance(cost)
+            self.clock.advance(cost)
         return cost
 
     def live_pages(self) -> int:

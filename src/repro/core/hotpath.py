@@ -1,19 +1,4 @@
-"""Feature gate and registry for the O(1) hot-path accounting fast paths.
-
-The per-operation accounting rework (incremental KLOC metadata, the
-flattened charge path, batched region touches) is a pure host-side
-optimization: simulated behavior is bit-identical by construction, and
-``tests/experiments/test_hotpath_equivalence.py`` enforces payload
-equality between both modes over full measured cells.
-
-``REPRO_NO_HOTPATH=1`` restores the legacy per-call paths — the escape
-hatch for debugging and the baseline ``scripts/op_bench.py`` times
-against. The flag is read when a component is constructed (kernel,
-per-CPU list set), not per call, so flipping it mid-run has no effect on
-existing instances.
-
-Hot-function registry
----------------------
+"""Registry of the hand-flattened hot-path functions.
 
 Functions whose bodies were hand-flattened for the hot path are marked
 with the :func:`hot` decorator. The decorator is a zero-cost no-op at
@@ -33,7 +18,6 @@ reviewed, grep-able decision).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Set, TypeVar
 
 F = TypeVar("F", bound=Callable)
@@ -54,8 +38,6 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "len",
     "int",
     "min",
-    "max",
-    "isinstance",
     "KernelObject",
     "PageFrame",
     "_SlabPage",
@@ -72,48 +54,33 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "add",
     "discard",
     "remove",
-    "insert",
-    "delete",
     "setdefault",
     "move_to_end",
     "fits",
     # registered hot functions / same-layer accounting calls
-    "access_frame",
+    "_charge",
     "access_cost_ns",
     "allocate",
     "free",
-    "free_object",
     "record",
-    "record_access",
-    "record_migration",
     "lookup",
     "_kmap_get",
-    "get_uncounted",
     "note_access",
     "_note_metadata",
     "metadata_bytes",
-    "knode_for_inode",
     "add_obj",
     "remove_obj",
-    "covered",
     "touch",
     "lifetime_ns",
-    "_charge_access",
     "_tier",
     "_cache",
-    "_make_frame",
     "_check_cpu",
     "_drop_holder",
     # sanitizer hooks (no-ops unless REPRO_SANITIZE=1; see repro.core.sanitize)
     "on_object_free",
     "on_frame_free",
-    "on_area_free",
     "call_site",
-    "check_object",
-    "check_frame",
     "poison_object",
-    "dead_object_error",
-    "dead_frame_error",
 }
 
 
@@ -125,8 +92,3 @@ def hot(fn: F) -> F:
     """
     HOT_FUNCTIONS.add(fn.__qualname__)
     return fn
-
-
-def hotpath_enabled() -> bool:  # simlint: config-site
-    """True unless ``REPRO_NO_HOTPATH`` is set (to anything non-empty)."""
-    return not os.environ.get("REPRO_NO_HOTPATH")

@@ -31,11 +31,13 @@ With ``REPRO_SANITIZE=1``:
 The mode is **behavior-preserving**: checks read state, they never
 advance the clock or mutate counters, so a sanitized run's payload is
 bit-identical to a plain run (enforced by
-``tests/experiments/test_sanitize_equivalence.py``). It does force the
-legacy (non-flat) charge paths so every access funnels through the
-checked entry points; that, too, is bit-identical by the PR-3
-equivalence guarantee. Like the other ``REPRO_*`` knobs, the flag is
-read at construction time only.
+``tests/experiments/test_sanitize_equivalence.py``). It runs the same
+charge path as a plain run, batched accesses included: the freed-object
+and freed-frame tests every access path makes raise the sanitizer's
+diagnostic (:meth:`Sanitizer.dead_object_error`,
+:meth:`Sanitizer.dead_frame_error`) instead of a plain
+``SimulationError``. Like the other ``REPRO_*`` knobs, the flag is read
+at construction time only.
 """
 
 from __future__ import annotations

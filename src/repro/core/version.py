@@ -13,12 +13,14 @@ from __future__ import annotations
 #: results (cost models, policy logic, daemon scheduling, workloads);
 #: leave alone for pure refactors/performance work. Stale cache entries
 #: and snapshots are ignored automatically because the tag is part of
-#: every content hash.
+#: every content hash, and ``tests/golden/digests.json`` records the tag
+#: its payload digests belong to: a digest change without a bump fails
+#: the tier-1 suite.
 #: History: "2" = reset_reference_counters now also zeroes the
 #: access-time decomposition, and migration resets per-frame hotness
 #: state (lru_age / scan_ref_streak) on tier change. The resident-frame
-#: index refactor, the O(1) hot-path accounting, the REPRO_SANITIZE
-#: observer mode, and the phase-keyed snapshot/restore path are all
-#: bit-identical by construction (each has an equivalence suite) and did
-#: NOT bump this.
+#: indexes, the O(1) hot-path accounting, the REPRO_SANITIZE observer
+#: mode, the phase-keyed snapshot/restore path, and the single charge
+#: path (one primitive for plain, batched, NUMA and sanitized accesses)
+#: are all bit-identical and did NOT bump this.
 SIM_VERSION = "2"

@@ -8,11 +8,9 @@ the §4.3 claim that per-CPU lists absorb 54% of rbtree accesses.
 
 ``total_entries`` is maintained incrementally on every record/eviction/
 invalidate so metadata accounting is pure arithmetic instead of an
-all-lists walk. With the hot paths enabled (see
-:mod:`repro.core.hotpath`) a membership shadow maps each item to the set
-of CPUs holding it, making :meth:`invalidate` and :meth:`find_cpus`
-O(holders) instead of O(num_cpus); ``REPRO_NO_HOTPATH=1`` restores the
-every-list scans.
+all-lists walk. A membership shadow maps each item to the set of CPUs
+holding it, making :meth:`invalidate` and :meth:`find_cpus` O(holders)
+instead of O(num_cpus).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Generic, List, Optional, Set, TypeVar
 
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 
 T = TypeVar("T")
 
@@ -41,11 +39,8 @@ class PerCPUListSet(Generic[T]):
         #: Live count of entries across every CPU's list, maintained on
         #: record / eviction / invalidate — O(1) metadata accounting.
         self.total_entries = 0
-        #: item → CPUs holding it (the membership shadow); None when the
-        #: legacy scans are forced via REPRO_NO_HOTPATH=1.
-        self._where: Optional[Dict[T, Set[int]]] = (
-            {} if hotpath_enabled() else None
-        )
+        #: item → CPUs holding it (the membership shadow).
+        self._where: Dict[T, Set[int]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -80,19 +75,17 @@ class PerCPUListSet(Generic[T]):
             # container does not know the byte weights.
             # simlint: ok[counter-balance] peak sampled by KlocManager
             self.total_entries += 1
-            if self._where is not None:
-                holders = self._where.get(item)
-                if holders is None:
-                    self._where[item] = {cpu}
-                else:
-                    holders.add(cpu)
+            holders = self._where.get(item)
+            if holders is None:
+                self._where[item] = {cpu}
+            else:
+                holders.add(cpu)
         lst[item] = None
         lst.move_to_end(item)
         if len(lst) > self.max_per_cpu:
             evicted, _ = lst.popitem(last=False)
             self.total_entries -= 1
-            if self._where is not None:
-                self._drop_holder(evicted, cpu)
+            self._drop_holder(evicted, cpu)
             return evicted
         return None
 
@@ -106,26 +99,16 @@ class PerCPUListSet(Generic[T]):
     def invalidate(self, item: T) -> int:
         """Coherence: drop ``item`` from every CPU's list (knode deleted or
         marked inactive). Returns the number of lists it was on."""
-        if self._where is not None:
-            holders = self._where.pop(item, None)
-            if not holders:
-                return 0
-            lists = self._lists
-            # simlint: ok[hash-order] deletions commute; no ordered result
-            for cpu in holders:
-                del lists[cpu][item]
-            dropped = len(holders)
-            self.total_entries -= dropped
-            self.invalidations += 1
-            return dropped
-        dropped = 0
-        for lst in self._lists:
-            if item in lst:
-                del lst[item]
-                dropped += 1
-        if dropped:
-            self.invalidations += 1
-            self.total_entries -= dropped
+        holders = self._where.pop(item, None)
+        if not holders:
+            return 0
+        lists = self._lists
+        # simlint: ok[hash-order] deletions commute; no ordered result
+        for cpu in holders:
+            del lists[cpu][item]
+        dropped = len(holders)
+        self.total_entries -= dropped
+        self.invalidations += 1
         return dropped
 
     def entries(self, cpu: int) -> List[T]:
@@ -147,11 +130,9 @@ class PerCPUListSet(Generic[T]):
     def find_cpus(self, item: T) -> List[int]:
         """CPUs whose list holds ``item`` — backs Table 2's find_cpu().
 
-        Always ascending CPU order, matching the enumerate scan."""
-        if self._where is not None:
-            holders = self._where.get(item)
-            return sorted(holders) if holders else []
-        return [cpu for cpu, lst in enumerate(self._lists) if item in lst]
+        Always ascending CPU order."""
+        holders = self._where.get(item)
+        return sorted(holders) if holders else []
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

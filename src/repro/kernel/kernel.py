@@ -20,7 +20,7 @@ from repro.alloc.vmalloc import VmallocAllocator
 from repro.core.clock import Clock
 from repro.core.config import PlatformSpec
 from repro.core.errors import AllocationError, SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.objtypes import AllocatorKind, KernelObjectType
 from repro.core.rng import DeterministicRNG
 from repro.core.units import PAGE_SIZE
@@ -140,38 +140,9 @@ class Kernel:
             self.kloc_manager.note_access if self.kloc_manager is not None else None
         )
 
-        # Metric counters (Fig 2c's reference attribution).
-        self.kernel_refs = 0
-        self.kernel_ref_bytes = 0
-        self.app_refs = 0
-        self.app_ref_bytes = 0
-        self.refs_by_owner: Dict[PageOwner, int] = {o: 0 for o in PageOwner}
-        # Reference attribution storage. Flat mode (the default outside
-        # NUMA platforms) preallocates nested counters for every tier ×
-        # owner pair so the charge path is ``d[k] += v`` with no tuple
-        # allocation or ``.get()``; the legacy tuple-keyed dicts are kept
-        # behind ``REPRO_NO_HOTPATH=1`` (and in NUMA mode, whose hw-cache
-        # costs keep the legacy charge path anyway). ``refs_by_tier`` and
-        # ``access_ns_by`` are exposed as properties that materialize the
-        # same dicts either way.
-        # REPRO_SANITIZE=1 forces the legacy charge paths so every access
-        # funnels through the liveness-checked entry points — bit-identical
-        # by the hotpath equivalence guarantee, just slower.
-        self._flat = hotpath_enabled() and not self.numa_mode and self._san is None
-        tier_names = [platform.fast.name, platform.slow.name]
-        #: tier → [app_refs, kernel_refs]; indexed by ``owner is not APP``.
-        self._refs_by_tier_n: Dict[str, List[int]] = {
-            t: [0, 0] for t in tier_names
-        }
-        #: owner → tier → [cumulative ns, access count]. The count decides
-        #: which keys the materialized dict contains (a zero-cost access
-        #: must still create its key, exactly like the legacy dict).
-        self._access_ns_n: Dict[PageOwner, Dict[str, List[int]]] = {
-            o: {t: [0, 0] for t in tier_names} for o in PageOwner
-        }
-        #: Legacy tuple-keyed dicts (REPRO_NO_HOTPATH=1 / NUMA mode).
-        self._refs_by_tier_d: Dict[tuple, int] = {}
-        self._access_ns_d: Dict[tuple, int] = {}
+        # Metric counters (Fig 2c's reference attribution and the access
+        # time decomposition), zeroed by reset_reference_counters.
+        self.reset_reference_counters()
         self.storage_ns_total = 0
         self.background_ns_total = 0
         #: Optional tracepoint sink (repro.core.trace.Tracer); costs one
@@ -260,7 +231,7 @@ class Kernel:
         :class:`AccessBatch`: the free executes at that virtual time and
         the allocator's (constant) CPU cost is *returned* instead of
         advanced — the batch owns the coalesced advance. Plain calls
-        (``now_ns=None``) keep the legacy advance inside the allocator.
+        (``now_ns=None``) advance inside the allocator.
         """
         if now_ns is None:
             if self.tracer is not None:
@@ -294,50 +265,39 @@ class Kernel:
     # ------------------------------------------------------------------
 
     @hot
-    def access_object(
-        self,
-        obj: KernelObject,
-        nbytes: Optional[int] = None,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int:
-        if not self._flat:
-            if not obj.live:
-                if self._san is not None:
-                    raise self._san.dead_object_error(obj)
-                raise SimulationError(f"access to freed object {obj!r}")
-            frame = obj.frame
-            size = nbytes if nbytes is not None else obj.size_bytes
-            cost = self._charge_access(frame, size, write=write)
-            self.kernel_refs += 1
-            self.kernel_ref_bytes += size
-            self.refs_by_owner[frame.owner] += 1
-            if self.kloc_manager is not None and obj.knode_id is not None:
-                self.kloc_manager.note_access(obj, cpu=cpu)
-            return cost
-        # Flat path: the whole charge sequence inlined — same operations,
-        # same order, no helper-call overhead per reference.
-        if obj.freed_at is not None:
-            raise SimulationError(f"access to freed object {obj!r}")
-        frame = obj.frame
-        size = nbytes if nbytes is not None else obj.otype.size_bytes
+    def _charge(self, frame: PageFrame, nbytes: int, write: bool, t: int) -> int:
+        """Charge one reference of ``nbytes`` to ``frame`` at virtual time
+        ``t`` and return its cost; the caller advances the clock.
+
+        The one charge primitive behind every access path: the cost (the
+        NUMA node's, hardware DRAM cache included, when the kernel has
+        nodes; the tier formula otherwise), the tier byte counters, the
+        tier and owner attribution, and the frame's access record.
+        """
         tier_name = frame.tier_name
         owner = frame.owner
-        tier = self._tiers[tier_name]
-        if write:
-            tier.bytes_written += size
-            cost = tier.write_latency_ns + int(size * tier.slowdown / tier.write_bw)
+        nodes = self.nodes
+        if nodes:
+            cost = nodes[tier_name].access_cost_ns(
+                frame.fid, nbytes, write=write, from_node=self.task_node
+            )
         else:
-            tier.bytes_read += size
-            cost = tier.read_latency_ns + int(size * tier.slowdown / tier.read_bw)
+            tier = self._tiers[tier_name]
+            if write:
+                tier.bytes_written += nbytes
+                cost = tier.write_latency_ns + int(
+                    nbytes * tier.slowdown / tier.write_bw
+                )
+            else:
+                tier.bytes_read += nbytes
+                cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
         self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
         cell = self._access_ns_n[owner][tier_name]
         cell[0] += cost
         cell[1] += 1
-        clock = self.clock
-        # frame.record_access(clock.now(), write=write), inlined:
-        frame.last_access = clock._now  # noqa: SLF001 - hot-path read
+        self.refs_by_owner[owner] += 1
+        # frame.record_access(t, write=write), inlined:
+        frame.last_access = t
         frame.lru_age = 0
         journal = frame.journal
         if journal is not None:
@@ -347,13 +307,27 @@ class Kernel:
             frame.dirty = True
         else:
             frame.reads += 1
-        # clock.advance(cost), inlined (cost >= 0 by construction):
-        clock._now = now = clock._now + cost  # noqa: SLF001
-        if now >= clock._next_deadline:  # noqa: SLF001
-            clock._fire_due()  # noqa: SLF001
+        return cost
+
+    @hot
+    def access_object(
+        self,
+        obj: KernelObject,
+        nbytes: Optional[int] = None,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int:
+        if obj.freed_at is not None:
+            if self._san is not None:
+                raise self._san.dead_object_error(obj)
+            raise SimulationError(f"access to freed object {obj!r}")
+        size = nbytes if nbytes is not None else obj.otype.size_bytes
+        clock = self.clock
+        cost = self._charge(obj.frame, size, write, clock._now)  # noqa: SLF001
+        clock.advance(cost)
         self.kernel_refs += 1
         self.kernel_ref_bytes += size
-        self.refs_by_owner[owner] += 1
         note_access = self._note_access
         if note_access is not None and obj.knode_id is not None:
             note_access(obj, cpu=cpu)
@@ -363,60 +337,20 @@ class Kernel:
     def access_frame(
         self, frame: PageFrame, nbytes: int, *, write: bool = False, cpu: int = 0
     ) -> int:
-        if not self._flat:
-            if not frame.live:
-                if self._san is not None:
-                    raise self._san.dead_frame_error(frame)
-                raise SimulationError(f"access to freed frame {frame!r}")
-            cost = self._charge_access(frame, nbytes, write=write)
-            owner = frame.owner
-            if owner is PageOwner.APP:
-                self.app_refs += 1
-                self.app_ref_bytes += nbytes
-            else:
-                self.kernel_refs += 1
-                self.kernel_ref_bytes += nbytes
-            self.refs_by_owner[owner] += 1
-            return cost
         if frame.freed_at is not None:
+            if self._san is not None:
+                raise self._san.dead_frame_error(frame)
             raise SimulationError(f"access to freed frame {frame!r}")
-        tier_name = frame.tier_name
         owner = frame.owner
-        tier = self._tiers[tier_name]
-        if write:
-            tier.bytes_written += nbytes
-            cost = tier.write_latency_ns + int(
-                nbytes * tier.slowdown / tier.write_bw
-            )
-        else:
-            tier.bytes_read += nbytes
-            cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
-        self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
-        cell = self._access_ns_n[owner][tier_name]
-        cell[0] += cost
-        cell[1] += 1
         clock = self.clock
-        frame.last_access = clock._now  # noqa: SLF001 - hot-path read
-        frame.lru_age = 0
-        journal = frame.journal
-        if journal is not None:
-            journal[frame.fid] = frame
-        if write:
-            frame.writes += 1
-            frame.dirty = True
-        else:
-            frame.reads += 1
-        # clock.advance(cost), inlined (cost >= 0 by construction):
-        clock._now = now = clock._now + cost  # noqa: SLF001
-        if now >= clock._next_deadline:  # noqa: SLF001
-            clock._fire_due()  # noqa: SLF001
+        cost = self._charge(frame, nbytes, write, clock._now)  # noqa: SLF001
+        clock.advance(cost)
         if owner is _OWNER_APP:
             self.app_refs += 1
             self.app_ref_bytes += nbytes
         else:
             self.kernel_refs += 1
             self.kernel_ref_bytes += nbytes
-        self.refs_by_owner[owner] += 1
         return cost
 
     @hot
@@ -432,37 +366,21 @@ class Kernel:
 
         Chunks ``nbytes`` across ``frames`` in order (PAGE_SIZE per frame,
         the remainder on the last) — the shape of :meth:`Process.touch`'s
-        loop. All bookkeeping (tier byte counters, reference attribution,
-        per-frame access records with exact per-access timestamps) happens
-        per frame in the legacy order; only ``Clock.advance`` is deferred
-        and coalesced. An access is deferred only while
-        ``now + pending + cost < clock.next_deadline_ns`` — no daemon can
-        fire inside that span, so the single flush advance is
+        loop. Every frame is charged through :meth:`_charge` in order, at
+        its exact per-access timestamp, so order-dependent costs (the
+        NUMA hardware DRAM cache) come out as in a per-frame loop; only
+        ``Clock.advance`` is deferred and coalesced. An access is deferred
+        only while ``now + pending + cost < clock.next_deadline_ns`` — no
+        daemon can fire inside that span, so the single flush advance is
         indistinguishable from per-frame advances. An access that would
         cross the deadline flushes the pending time (still strictly before
         the deadline, so nothing fires early) and is charged with a real
-        per-frame advance, which fires daemons exactly when the legacy
-        loop would. With ``REPRO_NO_HOTPATH=1`` (or in NUMA mode, whose
-        hw-cache hit/miss state makes costs order-dependent) this is a
-        plain loop over :meth:`access_frame`.
+        per-frame advance, which fires daemons exactly when a per-frame
+        loop would.
         """
-        if not self._flat:
-            total = 0
-            remaining = nbytes
-            for frame in frames:
-                if remaining <= 0:
-                    break
-                chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
-                total += self.access_frame(frame, chunk, write=write, cpu=cpu)
-                remaining -= chunk
-            return total
         clock = self.clock
-        tiers = self._tiers
-        refs_n = self._refs_by_tier_n
-        ns_n = self._access_ns_n
-        refs_by_owner = self.refs_by_owner
-        start = clock._now  # noqa: SLF001 - hot-path read
-        deadline = clock._next_deadline  # noqa: SLF001 - hot-path read
+        start = clock.now()
+        deadline = clock.next_deadline_ns
         pending = 0
         total = 0
         app_refs = 0
@@ -476,47 +394,22 @@ class Kernel:
             chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
             remaining -= chunk
             if frame.freed_at is not None:
+                if self._san is not None:
+                    raise self._san.dead_frame_error(frame)
                 raise SimulationError(f"access to freed frame {frame!r}")
-            tier_name = frame.tier_name
             owner = frame.owner
-            tier = tiers[tier_name]
-            if write:
-                tier.bytes_written += chunk
-                cost = tier.write_latency_ns + int(
-                    chunk * tier.slowdown / tier.write_bw
-                )
-            else:
-                tier.bytes_read += chunk
-                cost = tier.read_latency_ns + int(
-                    chunk * tier.slowdown / tier.read_bw
-                )
-            refs_n[tier_name][owner is not _OWNER_APP] += 1
-            cell = ns_n[owner][tier_name]
-            cell[0] += cost
-            cell[1] += 1
             t = start + pending
-            boundary = t + cost >= deadline
-            if boundary and pending:
-                # Flush the deferred span: lands strictly before the
-                # deadline, so nothing fires ahead of legacy order.
-                clock.advance(pending)
-                pending = 0
-            frame.last_access = t
-            frame.lru_age = 0
-            journal = frame.journal
-            if journal is not None:
-                journal[frame.fid] = frame
-            if write:
-                frame.writes += 1
-                frame.dirty = True
-            else:
-                frame.reads += 1
-            if boundary:
-                # Real advance: daemons fire exactly as in the per-frame
-                # loop; rebase the window on the post-firing clock state.
+            cost = self._charge(frame, chunk, write, t)
+            if t + cost >= deadline:
+                # Flush the deferred span (it lands strictly before the
+                # deadline), then advance for real: daemons fire exactly
+                # as in a per-frame loop. Rebase on the post-firing clock.
+                if pending:
+                    clock.advance(pending)
+                    pending = 0
                 clock.advance(cost)
-                start = clock._now  # noqa: SLF001
-                deadline = clock._next_deadline  # noqa: SLF001
+                start = clock.now()
+                deadline = clock.next_deadline_ns
             else:
                 pending += cost
             total += cost
@@ -526,7 +419,6 @@ class Kernel:
             else:
                 kern_refs += 1
                 kern_bytes += chunk
-            refs_by_owner[owner] += 1
         if pending:
             clock.advance(pending)
         self.app_refs += app_refs
@@ -536,33 +428,11 @@ class Kernel:
         return total
 
     def begin_access_batch(self) -> Optional["AccessBatch"]:
-        """Open a deferred-advance charging window, or None when batching
-        is unavailable (legacy mode, NUMA hw-cache costs, or an attached
-        tracer, whose events must see exact per-event clock values)."""
-        if not self._flat or self.tracer is not None:
+        """Open a deferred-advance charging window, or None while a tracer
+        is attached (its events must see exact per-event clock values)."""
+        if self.tracer is not None:
             return None
         return AccessBatch(self)
-
-    @hot
-    def _charge_access(self, frame: PageFrame, nbytes: int, *, write: bool) -> int:
-        tier_name = frame.tier_name
-        owner = frame.owner
-        if self.numa_mode:
-            cost = self.nodes[tier_name].access_cost_ns(
-                frame.fid, nbytes, write=write, from_node=self.task_node
-            )
-        else:
-            cost = self._tiers[tier_name].access_cost_ns(nbytes, write=write)
-        refs_by_tier = self._refs_by_tier_d
-        key = (tier_name, owner is not PageOwner.APP)
-        refs_by_tier[key] = refs_by_tier.get(key, 0) + 1
-        access_ns_by = self._access_ns_d
-        cost_key = (owner, tier_name)
-        access_ns_by[cost_key] = access_ns_by.get(cost_key, 0) + cost
-        clock = self.clock
-        frame.record_access(clock.now(), write=write)
-        clock.advance(cost)
-        return cost
 
     # ------------------------------------------------------------------
     # KernelContext: application memory
@@ -702,11 +572,8 @@ class Kernel:
         """(tier_name, is_kernel) → reference count, for placement quality
         diagnostics (what fraction of traffic actually hit fast memory).
 
-        Materialized from the preallocated nested counters in flat mode;
-        the legacy tuple-keyed dict otherwise. Reporting-frequency only —
-        the hot path never builds this."""
-        if not self._flat:
-            return self._refs_by_tier_d
+        Materialized from the preallocated nested counters; reporting
+        frequency only — the hot path never builds this."""
         out: Dict[tuple, int] = {}
         for tier_name, counts in self._refs_by_tier_n.items():
             if counts[0]:
@@ -720,9 +587,7 @@ class Kernel:
         """(owner, tier) → cumulative access ns, for time decomposition.
 
         Keys exist for every pair that was accessed at least once (even at
-        zero cost), matching the legacy dict's key population."""
-        if not self._flat:
-            return self._access_ns_d
+        zero cost)."""
         out: Dict[tuple, int] = {}
         for owner, by_tier in self._access_ns_n.items():
             for tier_name, cell in by_tier.items():
@@ -731,28 +596,24 @@ class Kernel:
         return out
 
     def reset_reference_counters(self) -> None:
-        """Zero the Fig 2c attribution counters (called after a workload's
-        load phase so measurements cover steady state only)."""
+        """Zero the Fig 2c attribution counters and the access-time
+        decomposition (called after a workload's load phase so
+        measurements cover steady state only)."""
         self.kernel_refs = 0
         self.kernel_ref_bytes = 0
         self.app_refs = 0
         self.app_ref_bytes = 0
-        # Zeroed in place: Process binds this dict for its inlined charge
-        # body, so the identity must survive resets (keys are always the
-        # full PageOwner population).
-        for o in self.refs_by_owner:
-            self.refs_by_owner[o] = 0
-        for counts in self._refs_by_tier_n.values():
-            counts[0] = 0
-            counts[1] = 0
-        self._refs_by_tier_d = {}
-        # Time decomposition must cover the same window as the reference
-        # split, or steady-state reports silently include the load phase.
-        for by_tier in self._access_ns_n.values():
-            for cell in by_tier.values():
-                cell[0] = 0
-                cell[1] = 0
-        self._access_ns_d = {}
+        self.refs_by_owner: Dict[PageOwner, int] = {o: 0 for o in PageOwner}
+        #: tier → [app_refs, kernel_refs]; indexed by ``owner is not APP``.
+        self._refs_by_tier_n: Dict[str, List[int]] = {
+            t: [0, 0] for t in self._tiers
+        }
+        #: owner → tier → [cumulative ns, access count]. The count decides
+        #: which keys ``access_ns_by`` reports (a zero-cost access still
+        #: creates its key).
+        self._access_ns_n: Dict[PageOwner, Dict[str, List[int]]] = {
+            o: {t: [0, 0] for t in self._tiers} for o in PageOwner
+        }
 
     def fast_ref_fraction(self, fast_tier: str = "fast") -> float:
         """Fraction of references served by the fast tier — the quantity
@@ -840,14 +701,15 @@ class AccessBatch:
     Opened via :meth:`Kernel.begin_access_batch` by loops that issue many
     small charges back-to-back (the page-cache read hit loop, the skb
     copy-to-user loop). Each access/free executes all of its bookkeeping
-    immediately, at its exact legacy virtual time (``start + pending``) —
-    access records, KLOC hotness timestamps, reference attribution — but
+    immediately through :meth:`Kernel._charge`, at the exact virtual time
+    an unbatched call would see (``start + pending``) — access records,
+    KLOC hotness timestamps, reference attribution — but
     the clock advance is accumulated and flushed once, which is legal
     precisely while ``start + pending + cost < next_deadline``: no daemon
     can fire inside that span, so per-item and coalesced advances are
     indistinguishable. An item that would cross the deadline flushes the
     pending span (still strictly before the deadline) and runs with a real
-    advance, firing daemons in legacy order.
+    advance, firing daemons exactly when unbatched calls would.
 
     Contract: callers must :meth:`sync` before doing any out-of-band clock
     work (block I/O, allocations, readahead) and :meth:`close` when the
@@ -878,53 +740,29 @@ class AccessBatch:
             self.start = clock._now  # noqa: SLF001
             self.deadline = clock._next_deadline  # noqa: SLF001
         if obj.freed_at is not None:
+            if k._san is not None:  # noqa: SLF001 - same-module hot path
+                raise k._san.dead_object_error(obj)  # noqa: SLF001
             raise SimulationError(f"access to freed object {obj!r}")
-        frame = obj.frame
         size = nbytes if nbytes is not None else obj.otype.size_bytes
-        tier_name = frame.tier_name
-        owner = frame.owner
-        tier = k._tiers[tier_name]  # noqa: SLF001 - same-module hot path
-        if write:
-            tier.bytes_written += size
-            cost = tier.write_latency_ns + int(size * tier.slowdown / tier.write_bw)
-        else:
-            tier.bytes_read += size
-            cost = tier.read_latency_ns + int(size * tier.slowdown / tier.read_bw)
-        k._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1  # noqa: SLF001
-        cell = k._access_ns_n[owner][tier_name]  # noqa: SLF001
-        cell[0] += cost
-        cell[1] += 1
         t = self.start + self.pending
-        deferred = t + cost < self.deadline
-        if not deferred and self.pending:
-            clock.advance(self.pending)  # strictly before the deadline
-            self.pending = 0
-        frame.last_access = t
-        frame.lru_age = 0
-        journal = frame.journal
-        if journal is not None:
-            journal[frame.fid] = frame
-        if write:
-            frame.writes += 1
-            frame.dirty = True
-        else:
-            frame.reads += 1
-        if deferred:
+        cost = k._charge(obj.frame, size, write, t)  # noqa: SLF001
+        if t + cost < self.deadline:
             self.pending += cost
+            # An unbatched access stamps hotness with the post-advance
+            # clock; inside the window that is exactly t + cost.
+            now = t + cost
         else:
-            clock.advance(cost)  # may fire daemons, in legacy order
-            self.start = clock._now  # noqa: SLF001
+            if self.pending:
+                clock.advance(self.pending)  # strictly before the deadline
+                self.pending = 0
+            clock.advance(cost)  # may fire daemons, in per-call order
+            self.start = now = clock._now  # noqa: SLF001
             self.deadline = clock._next_deadline  # noqa: SLF001
         k.kernel_refs += 1
         k.kernel_ref_bytes += size
-        k.refs_by_owner[owner] += 1
-        if k.kloc_manager is not None and obj.knode_id is not None:
-            if deferred:
-                # Legacy stamps hotness with the post-advance clock; inside
-                # the window that is exactly t + cost.
-                k.kloc_manager.note_access(obj, cpu=cpu, now_ns=t + cost)
-            else:
-                k.kloc_manager.note_access(obj, cpu=cpu)
+        note_access = k._note_access  # noqa: SLF001
+        if note_access is not None and obj.knode_id is not None:
+            note_access(obj, cpu=cpu, now_ns=now)
         return cost
 
     def free_object(self, obj: KernelObject, *, cpu: int = 0) -> None:
@@ -940,7 +778,7 @@ class AccessBatch:
         if self.pending:
             clock.advance(self.pending)
             self.pending = 0
-        clock.advance(cost)  # may fire daemons, in legacy order
+        clock.advance(cost)  # may fire daemons, in per-call order
         self.start = clock._now  # noqa: SLF001
         self.deadline = clock._next_deadline  # noqa: SLF001
 

@@ -13,13 +13,10 @@ from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.errors import SimulationError
 from repro.core.units import PAGE_SIZE, pages_for
-from repro.mem.frame import PageFrame, PageOwner
+from repro.mem.frame import PageFrame
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
-
-#: Identity-compared on the inlined charge path (see Kernel.access_frame).
-_OWNER_APP = PageOwner.APP
 
 
 class Process:
@@ -30,20 +27,9 @@ class Process:
         self.name = name
         self._regions: Dict[str, List[PageFrame]] = {}
         # Bound once: contexts without the batched API (test fakes) get
-        # the legacy per-frame loop in touch().
+        # the per-frame loop in touch().
         self._access_frames = getattr(kernel, "access_frames", None)
         self._access_frame = getattr(kernel, "access_frame", None)
-        #: Mirrors Kernel._flat: when set, single-page touches charge
-        #: inline instead of calling access_frame (same body, no call).
-        self._flat = getattr(kernel, "_flat", False)
-        if self._flat:
-            # Stable containers bound once for the inlined charge body
-            # (none are ever reassigned by the kernel).
-            self._tiers = kernel._tiers  # noqa: SLF001
-            self._refs_by_tier_n = kernel._refs_by_tier_n  # noqa: SLF001
-            self._access_ns_n = kernel._access_ns_n  # noqa: SLF001
-            self._refs_by_owner = kernel.refs_by_owner
-            self._clock = kernel.clock
 
     def alloc_region(
         self, name: str, nbytes: int, *, cpu: int = 0, huge: bool = False
@@ -101,7 +87,7 @@ class Process:
         index = page_hint % n
         access_frames = self._access_frames
         if access_frames is None:
-            # Context without the batched API (test fakes): legacy loop.
+            # Context without the batched API (test fakes): per-frame loop.
             cost = 0
             remaining = nbytes
             while remaining > 0:
@@ -120,54 +106,7 @@ class Process:
             frame = frames[index]
             if frame.freed_at is not None:
                 return 0
-            if not self._flat:
-                return self._access_frame(frame, nbytes, write=write, cpu=cpu)
-            # Kernel.access_frame's flat body, inlined — this is the
-            # single hottest call site in the operation loop (one charge
-            # per app-side region touch). Keep in lockstep with
-            # Kernel.access_frame; the hotpath equivalence tests guard
-            # bit-identity against the legacy path.
-            k = self.kernel
-            tier_name = frame.tier_name
-            owner = frame.owner
-            tier = self._tiers[tier_name]
-            if write:
-                tier.bytes_written += nbytes
-                cost = tier.write_latency_ns + int(
-                    nbytes * tier.slowdown / tier.write_bw
-                )
-            else:
-                tier.bytes_read += nbytes
-                cost = tier.read_latency_ns + int(
-                    nbytes * tier.slowdown / tier.read_bw
-                )
-            self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
-            cell = self._access_ns_n[owner][tier_name]
-            cell[0] += cost
-            cell[1] += 1
-            clock = self._clock
-            frame.last_access = clock._now  # noqa: SLF001
-            frame.lru_age = 0
-            journal = frame.journal
-            if journal is not None:
-                journal[frame.fid] = frame
-            if write:
-                frame.writes += 1
-                frame.dirty = True
-            else:
-                frame.reads += 1
-            # clock.advance(cost), inlined (cost >= 0 by construction):
-            clock._now = now = clock._now + cost  # noqa: SLF001
-            if now >= clock._next_deadline:  # noqa: SLF001
-                clock._fire_due()  # noqa: SLF001
-            if owner is _OWNER_APP:
-                k.app_refs += 1
-                k.app_ref_bytes += nbytes
-            else:
-                k.kernel_refs += 1
-                k.kernel_ref_bytes += nbytes
-            self._refs_by_owner[owner] += 1
-            return cost
+            return self._access_frame(frame, nbytes, write=write, cpu=cpu)
         # Build the run of live frames in access order, then charge it in
         # one batched call. Only the final chunk can be partial, so the
         # batch's PAGE_SIZE-chunking reproduces this loop's chunks exactly;

@@ -21,11 +21,11 @@ from repro.alloc.base import KernelObject
 from repro.core.clock import Clock
 from repro.core.config import KLOCSpec
 from repro.core.errors import SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.sanitize import Sanitizer
 from repro.kloc.kmap import KMap
 from repro.kloc.knode import KNODE_STRUCT_BYTES, RB_POINTER_BYTES, Knode
-from repro.kloc.percpu_cache import PerCPUKnodeCache
+from repro.kloc.percpu_cache import PERCPU_ENTRY_BYTES, PerCPUKnodeCache
 from repro.kloc.registry import KlocRegistry
 from repro.vfs.inode import Inode
 
@@ -70,15 +70,9 @@ class KlocManager:
         #: never decrements ``_tracked_objects``. Counted here so the
         #: sanitizer's recomputation can balance the books exactly.
         self._orphaned_objects = 0
-        self._hot = hotpath_enabled()
         #: Live reference to the registry's coverage set (mutations in the
-        #: registry stay visible) — hot-path coverage test without the
-        #: method call. Legacy mode keeps calling the registry.
+        #: registry stay visible) — coverage test without the method call.
         self._covered = self.registry._covered  # noqa: SLF001
-        #: Bound ``KMap.get_uncounted`` equivalent (the id→knode shadow's
-        #: ``.get``) — the hot lookups resolve pointers without a method
-        #: call. Identical result; no counters move either way.
-        self._kmap_get = self.kmap._by_id.get  # noqa: SLF001
 
     # ------------------------------------------------------------------
     # inode lifecycle
@@ -154,22 +148,20 @@ class KlocManager:
         the registry's coverage (excluded from the KLOC abstraction, as in
         Fig 5c's partial configurations).
         """
-        if self._hot:
-            if obj.otype not in self._covered:
-                return False
-        elif not self.registry.covered(obj.otype):
+        if obj.otype not in self._covered:
             return False
-        knode = self.knode_for_inode(inode, cpu=cpu)
+        kid = inode.knode_id
+        if kid is None:
+            return False
+        # A recorded per-CPU entry needs no sample of its own here: the
+        # sample after the attach below sees strictly more metadata.
+        knode, _recorded = self.percpu.lookup(kid, cpu=cpu)
         if knode is None:
             return False
         obj.knode_id = knode.knode_id
         knode.add_obj(obj)
-        if self._hot:
-            # knode.touch(self.clock.now()), inlined.
-            knode.age = 0
-            knode.last_access = self.clock._now  # noqa: SLF001
-        else:
-            knode.touch(self.clock.now())
+        knode.age = 0
+        knode.last_access = self.clock._now  # noqa: SLF001 - hot-path read
         self._tracked_objects += 1
         self._note_metadata()
         return True
@@ -179,47 +171,16 @@ class KlocManager:
         kid = obj.knode_id
         if kid is None:
             return False
-        if self._hot:
-            # Inlined lookup, as in note_access. The peak sample is
-            # needed only when the lookup *recorded* a new per-CPU entry:
-            # a hit followed by a removal strictly shrinks metadata, and
-            # every growth site samples, so the legacy call is a no-op
-            # there — observationally identical to skip.
-            percpu = self.percpu
-            lists = percpu.lists
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-            recorded = False
-            if kid in lst:
-                lst.move_to_end(kid)
-                lists.hits += 1
-                percpu.fast_hits += 1
-                knode = self._kmap_get(kid)
-            else:
-                lists.misses += 1
-                percpu.slow_lookups += 1
-                knode = self.kmap.lookup(kid)
-                if knode is not None:
-                    lists.record(cpu, kid)
-                    recorded = True
-            if knode is None:
-                return False
-            removed = knode.remove_obj(obj)
-            if removed:
-                self._tracked_objects -= 1
-                if recorded:
-                    self._note_metadata()
-            return removed
-        knode = self.percpu.lookup(kid, cpu=cpu)
+        knode, recorded = self.percpu.lookup(kid, cpu=cpu)
         if knode is None:
             return False
         removed = knode.remove_obj(obj)
         if removed:
             self._tracked_objects -= 1
-            self._note_metadata()
+            # Only a recorded entry can have grown metadata; a hit followed
+            # by a removal strictly shrinks it.
+            if recorded:
+                self._note_metadata()
         return removed
 
     @hot
@@ -230,95 +191,30 @@ class KlocManager:
 
         ``now_ns`` lets batched charge paths pass the access's computed
         virtual time instead of re-reading the clock (identical value —
-        the caller reads the clock either way).
-
-        Hot-path note: after a successful :meth:`PerCPUKnodeCache.lookup`
-        the knode is already on ``cpu``'s list at the MRU end (a hit
-        refreshes recency; a miss records it), so the legacy trailing
-        ``percpu.note_access`` is a state- and counter-level no-op — the
-        flat path drops it. ``REPRO_NO_HOTPATH=1`` restores the call.
+        the caller reads the clock either way). After the lookup the
+        knode is already at the MRU end of ``cpu``'s list (a hit refreshes
+        recency; a miss records it), so no further per-CPU update is due.
         """
         kid = obj.knode_id
         if kid is None:
             return
-        if self._hot:
-            # Fully inlined lookup (same counters, same recency refresh
-            # as PerCPUKnodeCache.lookup) — this is the single most
-            # frequent accounting call, one per charged object access.
-            percpu = self.percpu
-            lists = percpu.lists
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-            if kid in lst:
-                lst.move_to_end(kid)
-                lists.hits += 1
-                percpu.fast_hits += 1
-                knode = self._kmap_get(kid)
-            else:
-                lists.misses += 1
-                percpu.slow_lookups += 1
-                knode = self.kmap.lookup(kid)
-                if knode is not None:
-                    lists.record(cpu, kid)
-                    # _note_metadata(), inlined — only the recorded miss
-                    # can grow metadata; on a hit the legacy sample is a
-                    # no-op (every growth site already samples the peak).
-                    size = (
-                        KNODE_STRUCT_BYTES
-                        * (self.knodes_created - self.knodes_deleted)
-                        + RB_POINTER_BYTES * self._tracked_objects
-                        + lists.total_entries * 24
-                    )
-                    if size > self.peak_metadata_bytes:
-                        self.peak_metadata_bytes = size
-            if knode is None:
-                return
-            knode.age = 0
-            knode.last_access = (
-                self.clock._now if now_ns is None else now_ns  # noqa: SLF001
-            )
+        knode, recorded = self.percpu.lookup(kid, cpu=cpu)
+        if knode is None:
             return
-        knode = self.percpu.lookup(kid, cpu=cpu)
-        if knode is not None:
-            now = self.clock.now() if now_ns is None else now_ns
-            knode.age = 0
-            knode.last_access = now
-            self.percpu.note_access(knode, cpu=cpu)
-            # A found lookup may have recorded a new per-CPU entry.
+        if recorded:
             self._note_metadata()
+        knode.age = 0
+        knode.last_access = (
+            self.clock._now if now_ns is None else now_ns  # noqa: SLF001
+        )
 
     @hot
     def knode_for_inode(self, inode: Inode, *, cpu: int = 0) -> Optional[Knode]:
         kid = inode.knode_id
         if kid is None:
             return None
-        if self._hot:
-            # Inlined lookup; the peak sample matters only when the miss
-            # path recorded a new per-CPU entry (a hit changes nothing).
-            percpu = self.percpu
-            lists = percpu.lists
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-            if kid in lst:
-                lst.move_to_end(kid)
-                lists.hits += 1
-                percpu.fast_hits += 1
-                return self._kmap_get(kid)
-            lists.misses += 1
-            percpu.slow_lookups += 1
-            knode = self.kmap.lookup(kid)
-            if knode is not None:
-                lists.record(cpu, kid)
-                self._note_metadata()
-            return knode
-        knode = self.percpu.lookup(kid, cpu=cpu)
-        if knode is not None:
+        knode, recorded = self.percpu.lookup(kid, cpu=cpu)
+        if recorded:
             self._note_metadata()
         return knode
 
@@ -330,13 +226,15 @@ class KlocManager:
         """Live KLOC metadata (Table 6's accounting): 64B per knode, 8B of
         rb-tree pointer per tracked object, plus the per-CPU lists.
 
-        Every term is a maintained counter on the hot path, so this (and
-        the peak sampling built on it) is pure arithmetic per call.
+        Every term is a maintained counter — ``knodes_created -
+        knodes_deleted`` is the kmap population (knodes only leave via
+        :meth:`delete_knode`) — so this (and the peak sampling built on
+        it) is pure arithmetic per call.
         """
         return (
-            KNODE_STRUCT_BYTES * len(self.kmap)
+            KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
             + RB_POINTER_BYTES * self._tracked_objects
-            + self.percpu.metadata_bytes()
+            + PERCPU_ENTRY_BYTES * self.percpu.lists.total_entries
         )
 
     @hot
@@ -346,21 +244,8 @@ class KlocManager:
         Called from every site that changes the kmap population, the
         tracked-object count, or the per-CPU lists — not just object
         attach — so short runs no longer under-report the peak.
-
-        The hot path computes the size from maintained counters with no
-        calls at all: ``knodes_created - knodes_deleted`` is the kmap
-        population (knodes only leave via :meth:`delete_knode`), and the
-        per-CPU entry count is a live attribute. ``REPRO_NO_HOTPATH=1``
-        recomputes via :meth:`metadata_bytes`'s structure walks.
         """
-        if self._hot:
-            size = (
-                KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
-                + RB_POINTER_BYTES * self._tracked_objects
-                + self.percpu.lists.total_entries * 24
-            )
-        else:
-            size = self.metadata_bytes()
+        size = self.metadata_bytes()
         if size > self.peak_metadata_bytes:
             self.peak_metadata_bytes = size
 

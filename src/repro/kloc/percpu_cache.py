@@ -8,12 +8,15 @@ paper measures a 54% reduction in rbtree-cache/rbtree-slab accesses.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.ds.percpu import PerCPUListSet
 from repro.kloc.kmap import KMap
 from repro.kloc.knode import Knode
+
+#: Bytes of KLOC metadata per per-CPU list entry: id + age + links.
+PERCPU_ENTRY_BYTES = 24
 
 
 class PerCPUKnodeCache:
@@ -22,7 +25,6 @@ class PerCPUKnodeCache:
     def __init__(self, kmap: KMap, num_cpus: int, max_per_cpu: int) -> None:
         self.kmap = kmap
         self.lists: PerCPUListSet[int] = PerCPUListSet(num_cpus, max_per_cpu)
-        self._hot = hotpath_enabled()
         #: Bound id→knode shadow ``.get`` — hit-path pointer resolution
         #: without the :meth:`KMap.get_uncounted` call (same result, no
         #: counters either way).
@@ -32,39 +34,36 @@ class PerCPUKnodeCache:
         self.slow_lookups = 0
 
     @hot
-    def lookup(self, knode_id: int, *, cpu: int) -> Optional[Knode]:
-        """Resolve a knode, fast path first.
+    def lookup(self, knode_id: int, *, cpu: int) -> Tuple[Optional[Knode], bool]:
+        """Resolve a knode, fast path first; returns ``(knode, recorded)``.
 
         A per-CPU hit still needs the Knode object; the simulator fetches
-        it via :meth:`KMap.get_uncounted` — only *misses* are charged as
-        rbtree accesses, matching the paper's accounting, where the list
-        entry holds the knode pointer directly.
+        it from the kmap's id shadow — only *misses* are charged as rbtree
+        accesses, matching the paper's accounting, where the list entry
+        holds the knode pointer directly. A miss that finds the knode
+        records it on ``cpu``'s list; ``recorded`` reports that, since it
+        is the only outcome that can grow KLOC metadata.
 
-        The hot path inlines :meth:`PerCPUListSet.lookup`'s hit sequence
-        (deliberate friend access — same membership test, recency refresh,
-        and hit counter); ``REPRO_NO_HOTPATH=1`` keeps the layered calls.
+        Inlines :meth:`PerCPUListSet.lookup`'s hit sequence (deliberate
+        friend access — same membership test, recency refresh, and hit
+        counter).
         """
         lists = self.lists
-        if self._hot:
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path friend access
-            if knode_id in lst:
-                lst.move_to_end(knode_id)
-                lists.hits += 1
-                self.fast_hits += 1
-                return self._kmap_get(knode_id)
-            lists.misses += 1
-        elif lists.lookup(cpu, knode_id):
+        if not 0 <= cpu < lists.num_cpus:
+            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
+        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path friend access
+        if knode_id in lst:
+            lst.move_to_end(knode_id)
+            lists.hits += 1
             self.fast_hits += 1
-            return self.kmap.get_uncounted(knode_id)
+            return self._kmap_get(knode_id), False
+        lists.misses += 1
         self.slow_lookups += 1
         knode = self.kmap.lookup(knode_id)
-        if knode is not None:
-            lists.record(cpu, knode_id)
-        return knode
+        if knode is None:
+            return None, False
+        lists.record(cpu, knode_id)
+        return knode, True
 
     def note_access(self, knode: Knode, *, cpu: int) -> None:
         """Record that ``cpu`` touched ``knode`` (refreshes its list slot)."""
@@ -83,17 +82,6 @@ class PerCPUKnodeCache:
         """Fraction of lookups absorbed by the fast path (§4.3's 54%)."""
         total = self.fast_hits + self.slow_lookups
         return self.fast_hits / total if total else 0.0
-
-    def metadata_bytes(self) -> int:
-        """Per-CPU list entries: id + age + links ≈ 24B per entry.
-
-        ``PerCPUListSet.total_entries`` is maintained incrementally, so
-        the hot path is pure arithmetic; ``REPRO_NO_HOTPATH=1`` restores
-        the every-list walk (same value, O(entries) cost).
-        """
-        if self._hot:
-            return self.lists.total_entries * 24
-        return sum(len(self.lists.entries(c)) for c in range(self.lists.num_cpus)) * 24
 
     def __repr__(self) -> str:
         return (

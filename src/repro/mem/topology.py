@@ -9,13 +9,12 @@ motivation and evaluation figures are built from.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict, deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.errors import AllocationError, SimulationError
 from repro.core.config import TierSpec
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.sanitize import Sanitizer, call_site, sanitize_enabled
 from repro.mem.frame import PageFrame, PageOwner
 from repro.mem.tier import MemoryTier
@@ -23,17 +22,6 @@ from repro.mem.tier import MemoryTier
 
 def _by_fid(frame: PageFrame) -> int:
     return frame.fid
-
-
-def frame_index_enabled() -> bool:  # simlint: config-site
-    """Whether scanners should use the resident-frame indexes.
-
-    ``REPRO_NO_FRAME_INDEX=1`` forces the brute-force global frame walk —
-    results are bit-identical either way (guarded by the equivalence
-    test); the knob exists for the scan benchmark's baseline and for
-    bisecting suspected index bugs.
-    """
-    return not os.environ.get("REPRO_NO_FRAME_INDEX")
 
 
 class MemoryTopology:
@@ -48,7 +36,7 @@ class MemoryTopology:
     * per-(tier, owner) views (``resident_frames_by_owner``);
     * a referenced-since-last-drain journal (``drain_referenced``), fed
       by :meth:`PageFrame.record_access` and by allocation (a fresh
-      frame counts as touched, exactly as the brute-force scan's
+      frame counts as touched, exactly as the scan's
       ``last_access >= last_scan`` predicate sees it).
 
     All three are updated at the three mutation points (`_make_frame`,
@@ -69,10 +57,6 @@ class MemoryTopology:
                 raise ValueError(f"duplicate tier name: {spec.name}")
             self.tiers[spec.name] = MemoryTier(spec)
         self._next_fid = 0
-        #: Hot-path flag for :meth:`allocate`'s single-page shortcut;
-        #: ``REPRO_NO_HOTPATH=1`` keeps the generic placement loop for
-        #: every allocation (same result, legacy cost).
-        self._single_fast = hotpath_enabled()
         #: The shared free-site ledger when ``REPRO_SANITIZE=1``; every
         #: allocator picks this up from the topology it is built on, and
         #: the kernel threads it into the KLOC manager — one coherent
@@ -130,7 +114,7 @@ class MemoryTopology:
         """
         if npages <= 0:
             raise ValueError(f"allocation must be positive: {npages}")
-        if npages == 1 and self._single_fast:
+        if npages == 1:
             # Single page (the per-object common case): first tier with a
             # free page wins — no partial-placement machinery needed.
             tiers = self.tiers
@@ -226,7 +210,7 @@ class MemoryTopology:
         self.frames[fid] = frame
         self._tier_frames[tname][fid] = frame
         self._tier_owner_frames[key][fid] = frame
-        # Allocation counts as a touch: the brute-force scan's predicate
+        # Allocation counts as a touch: the scan's reference predicate
         # (last_access >= last_scan, with last_access = allocated_at)
         # sees a freshly allocated frame as referenced.
         frame.journal = self._referenced
@@ -351,8 +335,8 @@ class MemoryTopology:
         """The live frames homed on one tier, as a fid-keyed view.
 
         Insertion-ordered (allocation order, with migrated-in frames
-        appended); callers that need the brute-force walk's fid order
-        must sort — see :meth:`live_frames_in`.
+        appended); callers that need fid order must sort — see
+        :meth:`live_frames_in`.
         """
         self._tier(tier_name)  # raise on unknown tiers, like every query
         return self._tier_frames[tier_name]
@@ -380,9 +364,8 @@ class MemoryTopology:
         return referenced
 
     def live_frames_in(self, tier_name: str) -> List[PageFrame]:
-        """Live frames on a tier in fid order (the order the old global
-        frame walk produced; scan-based policies' *modeled* cost is
-        charged separately via the LRU engine)."""
+        """Live frames on a tier in fid order (scan-based policies'
+        *modeled* cost is charged separately via the LRU engine)."""
         return sorted(self.resident_frames(tier_name).values(), key=_by_fid)
 
     def check_invariants(self) -> None:

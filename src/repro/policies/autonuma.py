@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from repro.core.units import MS
 from repro.mem.frame import PageFrame, PageOwner
-from repro.mem.topology import frame_index_enabled
 from repro.policies.base import TieringPolicy
 
 
@@ -49,10 +48,6 @@ class NumaPolicyBase(TieringPolicy):
         self.migrated_app = 0
         self.migrated_kernel = 0
         self._started = False
-        #: Scan the per-(tier, owner) resident indexes instead of the
-        #: global frame table — bit-identical decisions, O(away residents)
-        #: per wakeup. REPRO_NO_FRAME_INDEX=1 restores the global walk.
-        self.use_index = frame_index_enabled()
 
     def node_tier(self, node: int) -> str:
         return f"node{node}"
@@ -81,31 +76,22 @@ class NumaPolicyBase(TieringPolicy):
         home_tier = self.node_tier(self.preferred_node())
         topo = self.kernel.topology
         candidates: List[PageFrame] = []
-        if self.use_index:
-            # Only away-from-home residents of the managed owners can be
-            # misplaced; the fid sort restores the global walk's encounter
-            # order before the batch cut.
-            for tier_name in topo.tiers:
-                if tier_name == home_tier:
-                    continue
-                for owner in self.migrate_owners:
-                    candidates.extend(
-                        frame
-                        for frame in topo.resident_frames_by_owner(
-                            tier_name, owner
-                        ).values()
-                        if frame.relocatable
-                    )
-            candidates.sort(key=_by_fid)
-            del candidates[self.batch :]
-        else:
-            for frame in topo.frames.values():
-                if frame.tier_name == home_tier or not frame.relocatable:
-                    continue
-                if frame.owner in self.migrate_owners:
-                    candidates.append(frame)
-                    if len(candidates) >= self.batch:
-                        break
+        # Only away-from-home residents of the managed owners can be
+        # misplaced; the fid sort puts them in global frame-table order
+        # before the batch cut.
+        for tier_name in topo.tiers:
+            if tier_name == home_tier:
+                continue
+            for owner in self.migrate_owners:
+                candidates.extend(
+                    frame
+                    for frame in topo.resident_frames_by_owner(
+                        tier_name, owner
+                    ).values()
+                    if frame.relocatable
+                )
+        candidates.sort(key=_by_fid)
+        del candidates[self.batch :]
         if not candidates:
             return
         result = self.kernel.engine.migrate(candidates, home_tier, charge_time=False)
@@ -147,24 +133,18 @@ class NumaAllLocal(NumaPolicyBase):
         topo = self.kernel.topology
         home_tier = self.node_tier(self.preferred_node())
         dst = topo.tier(home_tier)
-        if self.use_index:
-            away = [
-                frame
-                for tier_name in topo.tiers
-                if tier_name != home_tier
-                for frame in topo.resident_frames(tier_name).values()
-            ]
-            away.sort(key=_by_fid)
-            for frame in away:
-                if not dst.has_room(1):
-                    break
-                topo.move_frame(frame, home_tier)
-                frame.node_id = self.preferred_node()
-        else:
-            for frame in list(topo.frames.values()):
-                if frame.tier_name != home_tier and dst.has_room(1):
-                    topo.move_frame(frame, home_tier)
-                    frame.node_id = self.preferred_node()
+        away = [
+            frame
+            for tier_name in topo.tiers
+            if tier_name != home_tier
+            for frame in topo.resident_frames(tier_name).values()
+        ]
+        away.sort(key=_by_fid)
+        for frame in away:
+            if not dst.has_room(1):
+                break
+            topo.move_frame(frame, home_tier)
+            frame.node_id = self.preferred_node()
 
 
 class AutoNumaPolicy(NumaPolicyBase):

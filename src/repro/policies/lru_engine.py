@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 from repro.core.config import LRUSpec
 from repro.core.units import SEC
 from repro.mem.frame import PageFrame, PageOwner
-from repro.mem.topology import frame_index_enabled
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
@@ -42,15 +41,9 @@ class LRUScanEngine:
         demote: bool = True,
         migrate_batch: int = 2048,
         free_watermark_frac: float = 0.04,
-        use_index: Optional[bool] = None,
     ) -> None:
         self.kernel = kernel
         self.spec = spec or LRUSpec()
-        #: Scan via the topology's resident-frame indexes (O(candidates))
-        #: or the legacy global frame walk (O(all frames)). Decisions and
-        #: simulated costs are bit-identical; None defers to the
-        #: REPRO_NO_FRAME_INDEX environment knob.
-        self.use_index = frame_index_enabled() if use_index is None else use_index
         #: Which owners each direction manages (None = all). ``owners``
         #: is shorthand that sets both. KLOCs uses an asymmetric split:
         #: promotion covers kernel pages too (referenced slow pages come
@@ -90,40 +83,12 @@ class LRUScanEngine:
         """Wall time to visit ``npages`` at the measured scan rate."""
         return int(npages / self.spec.scan_pages_per_second * SEC)
 
-    def _collect_brute_force(self) -> Tuple[List[PageFrame], List[PageFrame], int]:
-        """The legacy O(all frames) walk — the equivalence baseline."""
-        demote_candidates: List[PageFrame] = []
-        promote_candidates: List[PageFrame] = []
-        visited = 0
-        for frame in list(self.kernel.topology.frames.values()):
-            if not frame.live:
-                continue
-            visited += 1
-            referenced = frame.last_access >= self._last_scan_ns
-            if frame.tier_name == self.fast_tier:
-                if referenced:
-                    frame.lru_age = 0
-                elif self._demotable(frame):
-                    frame.lru_age += 1
-                    if frame.lru_age >= self.spec.cold_age_rounds:
-                        demote_candidates.append(frame)
-            elif frame.tier_name == self.slow_tier:
-                # Two-touch activation (Linux's referenced/active bits):
-                # a page must be referenced in consecutive scan windows to
-                # earn promotion, so touch-once streams stay in slow memory.
-                frame.scan_ref_streak = frame.scan_ref_streak + 1 if referenced else 0
-                if (
-                    frame.scan_ref_streak >= 2
-                    and frame.relocatable
-                    and self._promotable(frame)
-                ):
-                    promote_candidates.append(frame)
-        return demote_candidates, promote_candidates, visited
-
-    def _collect_indexed(self) -> Tuple[List[PageFrame], List[PageFrame], int]:
+    def _collect(self) -> Tuple[List[PageFrame], List[PageFrame], int]:
         """O(candidates) collection via the resident-frame indexes.
 
-        Equivalence with the brute-force walk rests on three facts:
+        The result equals a walk over every live frame in fid order
+        (aging fast-tier residents, counting slow-tier reference streaks);
+        that equivalence rests on three facts:
 
         * a *referenced* fast-tier frame already has ``lru_age == 0``
           (``record_access`` reset it), so only unreferenced demotable
@@ -188,12 +153,7 @@ class LRUScanEngine:
         """One scan round: age pages, then migrate hot/cold candidates."""
         now = now_ns or self.kernel.clock.now()
         self.scans += 1
-        if self.use_index:
-            demote_candidates, promote_candidates, visited = self._collect_indexed()
-        else:
-            demote_candidates, promote_candidates, visited = (
-                self._collect_brute_force()
-            )
+        demote_candidates, promote_candidates, visited = self._collect()
 
         self.pages_scanned += visited
         # The scan itself burns a CPU at the measured rate (§3.3): charge

@@ -16,7 +16,6 @@ from repro.snapshot.budget import cache_max_mb, enforce_size_limit, usage
 from repro.snapshot.state import (
     SNAPSHOT_FORMAT,
     capture,
-    mode_fingerprint,
     restore,
     snapshot_enabled,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "cache_max_mb",
     "capture",
     "enforce_size_limit",
-    "mode_fingerprint",
     "registry_names",
     "restore",
     "setup_key",

@@ -42,15 +42,13 @@ import pickle
 import sys
 from typing import Any, Optional, Tuple
 
-from repro.core.hotpath import hotpath_enabled
-from repro.core.sanitize import sanitize_enabled
-from repro.mem.topology import frame_index_enabled
 
 #: Snapshot container format version. Bump whenever the capture contract
 #: changes shape (what is serialized, the header layout) so stale blobs
 #: written by older code are ignored rather than misread. Orthogonal to
-#: ``SIM_VERSION``, which tracks simulated *behavior*.
-SNAPSHOT_FORMAT = "3"
+#: ``SIM_VERSION``, which tracks simulated *behavior*. "4": kernels and
+#: the structures they pickle no longer carry construction-mode flags.
+SNAPSHOT_FORMAT = "4"
 
 #: Pinned pickle protocol: snapshots written by one interpreter must load
 #: in any other CPython >= 3.8 this repo supports.
@@ -67,24 +65,6 @@ def snapshot_enabled() -> bool:  # simlint: config-site
     Read at store-construction time, like every other ``REPRO_*`` knob.
     """
     return not os.environ.get("REPRO_NO_SNAPSHOT")
-
-
-def mode_fingerprint() -> str:  # simlint: config-site
-    """The construction-time mode flags baked into pickled objects.
-
-    ``REPRO_NO_HOTPATH`` / ``REPRO_SANITIZE`` / ``REPRO_NO_FRAME_INDEX``
-    are read when kernels and topologies are *built* and frozen into
-    their structure (flat counters vs legacy dicts, sanitizer ledgers,
-    index maps). A snapshot taken in one mode must never be restored
-    into a run expecting another, so the fingerprint is part of every
-    setup key. All modes are bit-identical in results — segregating them
-    costs only duplicate snapshots, never wrong ones.
-    """
-    return (
-        f"hot={int(hotpath_enabled())}"
-        f",san={int(sanitize_enabled())}"
-        f",idx={int(frame_index_enabled())}"
-    )
 
 
 def capture(kernel: Any, workload: Any) -> bytes:

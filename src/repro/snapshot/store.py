@@ -4,8 +4,9 @@ A snapshot's identity is its **setup key**: a hash of exactly the slice
 of a run's spec that can influence the warmed state — workload, policy,
 platform knobs (scale factor, bandwidth ratio, fast-tier capacity),
 seed, KLOC registry coverage, readahead flag — plus ``SIM_VERSION``,
-the snapshot container format, and the construction-time mode
-fingerprint (hot path / sanitizer / frame index). Measurement-phase
+the snapshot container format, and whether ``REPRO_SANITIZE`` was set
+(the one construction-time mode: a sanitized kernel carries its free-site
+ledger and poisoned references in the pickled graph). Measurement-phase
 knobs (``ops``, ``measure_setup``) are deliberately **excluded**: every
 cell of an ops-sensitivity sweep shares one warmed kernel, which is the
 whole point.
@@ -31,13 +32,13 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
+from repro.core.sanitize import sanitize_enabled
 from repro.core.version import SIM_VERSION
 from repro.kloc.registry import KlocRegistry
 from repro.snapshot.budget import enforce_size_limit
 from repro.snapshot.state import (
     SNAPSHOT_FORMAT,
     capture,
-    mode_fingerprint,
     restore,
     snapshot_enabled,
 )
@@ -104,7 +105,7 @@ def setup_key(
         "retired_limit": retired_limit,
         "sim_version": SIM_VERSION,
         "snapshot_format": SNAPSHOT_FORMAT,
-        "modes": mode_fingerprint(),
+        "sanitize": sanitize_enabled(),
     }
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return SetupKey(

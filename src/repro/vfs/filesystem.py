@@ -407,7 +407,7 @@ class Filesystem:
             return
         if batch is not None:
             # The fetch does real clock work (bios, page fills): flush the
-            # deferred window so it starts at the legacy virtual time.
+            # deferred window so it starts at the unbatched virtual time.
             batch.sync()
         # One sequential bio brings the whole window in asynchronously.
         self.blk.submit_pages(

@@ -3,10 +3,10 @@
 ``REPRO_SANITIZE=1`` is advertised as *behavior-preserving*: the
 sanitizer's checks read state — free-site ledgers, counter
 recomputations, teardown audits — and never advance the clock or mutate
-a counter the payload is built from. These tests enforce that contract
-the same way the hot-path equivalence suite does: run a full measured
-experiment twice, plain then sanitized, and require the complete result
-payloads to match bit for bit. Any check that perturbs the simulation
+a counter the payload is built from. Sanitized kernels run the same
+charge path as plain ones, so these tests check the production path: run
+a full measured experiment twice, plain then sanitized, and require the
+complete result payloads to match bit for bit. Any check that perturbs the simulation
 (an extra clock tick, a counter bumped by the audit itself) fails here
 immediately.
 

@@ -166,7 +166,7 @@ class TestKnobs:
 
     def test_mode_flag_changes_setup_key(self, monkeypatch, tmp_path):
         """A snapshot taken without the sanitizer must not be served to
-        a sanitized run — the mode fingerprint splits the keys."""
+        a sanitized run — the sanitize flag splits the keys."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         plain = setup_key(

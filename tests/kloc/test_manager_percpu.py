@@ -149,9 +149,12 @@ class TestPerCPUFastPath:
         inode = Inode(10)
         knode = manager.create_knode(inode, cpu=0)
         before = manager.kmap.rbtree_accesses
-        manager.percpu.lookup(knode.knode_id, cpu=3)  # miss → rbtree
-        manager.percpu.lookup(knode.knode_id, cpu=3)  # hit
+        # A miss goes to the rbtree and records the knode on cpu 3's list;
+        # the repeat is a hit and records nothing.
+        assert manager.percpu.lookup(knode.knode_id, cpu=3) == (knode, True)
+        assert manager.percpu.lookup(knode.knode_id, cpu=3) == (knode, False)
         assert manager.kmap.rbtree_accesses == before + 1
+        assert manager.percpu.lookup(12345, cpu=3) == (None, False)
 
     def test_find_cpu(self, manager):
         inode = Inode(10)

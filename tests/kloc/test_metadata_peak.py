@@ -1,12 +1,11 @@
-"""Peak-metadata regression tests, in both accounting modes.
+"""Peak-metadata regression tests.
 
 Table 6's peak figure is sampled at every metadata *growth* site (knode
 creation, object tracking, per-CPU list recording); shrink sites and
-cache-hit refreshes cannot raise the live size, so the hot path legally
+cache-hit refreshes cannot raise the live size, so the accounting legally
 skips sampling there. These tests pin that contract — the peak must
 capture growth through every site, never decay, and the incremental
-counters must always agree with a from-scratch recomputation — under
-both the O(1) counter accounting and the ``REPRO_NO_HOTPATH=1`` walks.
+counters must always agree with a from-scratch recomputation.
 """
 
 import pytest
@@ -17,22 +16,12 @@ from repro.kloc.manager import KlocManager
 from repro.vfs.inode import Inode
 from tests.fakes import FakeKernel
 
-#: id + age + links per per-CPU list entry (percpu_cache.metadata_bytes).
+#: id + age + links per per-CPU list entry (percpu_cache.PERCPU_ENTRY_BYTES).
 PERCPU_ENTRY_BYTES = 24
 
 
-@pytest.fixture(params=["hot", "legacy"])
-def mode(request, monkeypatch):
-    if request.param == "legacy":
-        monkeypatch.setenv("REPRO_NO_HOTPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_HOTPATH", raising=False)
-    return request.param
-
-
 @pytest.fixture
-def kernel(mode):
-    # Built after the env toggle: the accounting flag is construction-time.
+def kernel():
     return FakeKernel()
 
 
