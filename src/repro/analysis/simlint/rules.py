@@ -30,9 +30,10 @@ examples and rationale):
     have an increment, and metadata-bearing growth sites sample the
     peak in the same function.
 ``snapshot-path``
-    simulator state is (de)serialized only by :mod:`repro.snapshot`,
-    the audited snapshot path; direct ``pickle``/``marshal``/``dill``
-    imports and ``copy.deepcopy`` calls anywhere else are flagged.
+    simulator state is never serialized or deep-copied: runs cross
+    process and disk boundaries only as ``RunSpec`` inputs and JSON
+    payloads, so ``pickle``/``marshal``/``dill``/``shelve`` imports and
+    ``copy.deepcopy`` calls are flagged everywhere.
 """
 
 from __future__ import annotations
@@ -613,37 +614,27 @@ class CounterBalanceRule(Rule):
 
 
 class SnapshotPathRule(Rule):
-    """Ad-hoc serialization of simulator state outside ``repro.snapshot``.
+    """Serialization or deep copies of simulator state.
 
-    Snapshots must be byte-identical across processes and sessions, so
-    every (de)serialization of live kernel state goes through the one
-    audited module. A stray ``pickle.dumps`` elsewhere silently forks the
-    contract: it won't share the recursion-limit guard, the format
-    header, or the restore-time validation, and deep copies of kernel
-    graphs (``copy.deepcopy``) split shared references that the snapshot
-    path is careful to preserve.
+    A run is a pure function of its ``RunSpec``; what leaves a run is its
+    JSON payload (result cache, sweep workers, digests). Nothing needs a
+    kernel graph as bytes, and a pickled or deep-copied kernel is a
+    second copy of state that can drift from the one being measured —
+    deep copies also split the references the graph shares (the tier map,
+    the frame journal, the registry's coverage set). So the serializing
+    modules are banned outright; JSON payloads go through ``json``.
     """
 
     id = "snapshot-path"
     description = (
-        "pickle/deepcopy/marshal only inside repro.snapshot (the blessed "
-        "serialization path)"
+        "no pickle/marshal/dill/shelve or deepcopy of simulator state "
+        "(runs exchange RunSpecs and JSON payloads only)"
     )
 
-    #: Importing these anywhere else is an ad-hoc serialization hazard.
+    #: Importing these anywhere is a serialization hazard.
     BANNED_MODULES = {"pickle", "cPickle", "marshal", "dill", "shelve"}
-    #: Prefix owning the blessed path.
-    ALLOWED_PREFIX = "repro.snapshot"
-
-    def _allowed(self, src: SourceFile) -> bool:
-        name = src.module_name
-        return name == self.ALLOWED_PREFIX or name.startswith(
-            self.ALLOWED_PREFIX + "."
-        )
 
     def check(self, src: SourceFile) -> Iterator[Violation]:
-        if self._allowed(src):
-            return
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -652,8 +643,9 @@ class SnapshotPathRule(Rule):
                         yield self.violation(
                             src,
                             node,
-                            f"import of {alias.name!r}: serialization of "
-                            f"simulator state must go through repro.snapshot",
+                            f"import of {alias.name!r}: simulator state is "
+                            f"never serialized — exchange RunSpecs and JSON "
+                            f"payloads instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 root = (node.module or "").split(".")[0]
@@ -661,8 +653,9 @@ class SnapshotPathRule(Rule):
                     yield self.violation(
                         src,
                         node,
-                        f"import from {node.module!r}: serialization of "
-                        f"simulator state must go through repro.snapshot",
+                        f"import from {node.module!r}: simulator state is "
+                        f"never serialized — exchange RunSpecs and JSON "
+                        f"payloads instead",
                     )
                 elif root == "copy" and any(
                     alias.name == "deepcopy" for alias in node.names
@@ -671,8 +664,8 @@ class SnapshotPathRule(Rule):
                         src,
                         node,
                         "import of copy.deepcopy: deep-copying kernel state "
-                        "splits shared references — snapshot via "
-                        "repro.snapshot instead",
+                        "splits shared references — build a fresh kernel "
+                        "from its RunSpec instead",
                     )
             elif isinstance(node, ast.Call):
                 dotted = _dotted(node.func)
@@ -681,8 +674,8 @@ class SnapshotPathRule(Rule):
                         src,
                         node,
                         "call to deepcopy(): deep-copying kernel state "
-                        "splits shared references — snapshot via "
-                        "repro.snapshot instead",
+                        "splits shared references — build a fresh kernel "
+                        "from its RunSpec instead",
                     )
 
 

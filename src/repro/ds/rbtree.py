@@ -39,18 +39,6 @@ class _Nil(_Node):
         self.right = self
         self.parent = self
 
-    def __reduce__(self):
-        # The sentinel is compared by identity (``node is NIL``)
-        # throughout; serialization must resolve back to the module
-        # singleton or restored trees would carry a private nil that
-        # every identity test misses. See repro.snapshot.
-        return (_the_nil, ())
-
-
-def _the_nil() -> "_Nil":
-    """Pickle hook: resolve to the shared :data:`NIL` singleton."""
-    return NIL
-
 
 NIL = _Nil()
 

@@ -8,8 +8,8 @@ Usage::
     REPRO_QUICK=1 python -m repro.experiments fig6
     python -m repro.experiments fig4 --jobs 8         # parallel sweep
     python -m repro.experiments fig4 --no-cache       # force recompute
-    python -m repro.experiments --cache-info          # cache/snapshot usage
-    python -m repro.experiments --cache-clear         # empty both stores
+    python -m repro.experiments --cache-info          # result-cache usage
+    python -m repro.experiments --cache-clear         # empty the result cache
 """
 
 from __future__ import annotations
@@ -22,37 +22,20 @@ from repro.experiments.registry import EXPERIMENTS
 
 
 def _cache_maintenance(info: bool, clear: bool) -> int:
-    """Report or empty the result cache + snapshot store."""
-    from repro.experiments.cache import ResultCache
-    from repro.snapshot import SnapshotStore, cache_max_mb, usage
+    """Report or empty the result cache."""
+    from repro.experiments.cache import ResultCache, cache_max_mb, usage
 
     cache = ResultCache(enabled=True)
-    store = SnapshotStore(enabled=True)
     if clear:
-        results = cache.clear()
-        snaps = store.clear()
-        print(f"cleared: {results} result(s), {snaps} snapshot(s)")
+        print(f"cleared: {cache.clear()} result(s)")
         return 0
 
-    total = usage(cache.root)
-    snap = usage(store.root)
-    results = {
-        "files": total["files"] - snap["files"],
-        "bytes": total["bytes"] - snap["bytes"],
-    }
+    results = usage(cache.root)
     budget = cache_max_mb()
     print(f"cache root: {cache.root}")
     print(
         f"  results:   {results['files']:5d} file(s)"
         f"  {results['bytes'] / (1 << 20):8.2f} MB"
-    )
-    print(
-        f"  snapshots: {snap['files']:5d} file(s)"
-        f"  {snap['bytes'] / (1 << 20):8.2f} MB"
-    )
-    print(
-        f"  total:     {total['files']:5d} file(s)"
-        f"  {total['bytes'] / (1 << 20):8.2f} MB"
     )
     print(
         "  budget:    "
@@ -98,19 +81,14 @@ def main(argv=None) -> int:
         help="ignore and don't write the .repro_cache result cache",
     )
     parser.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help="disable snapshot warm starts (always replay setup cold)",
-    )
-    parser.add_argument(
         "--cache-info",
         action="store_true",
-        help="print result-cache/snapshot-store usage and exit",
+        help="print result-cache usage and exit",
     )
     parser.add_argument(
         "--cache-clear",
         action="store_true",
-        help="delete every cached result and snapshot, then exit",
+        help="delete every cached result, then exit",
     )
     args = parser.parse_args(argv)
 
@@ -129,8 +107,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_JOBS"] = str(args.jobs)  # simlint: ok[env-knob]
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"  # simlint: ok[env-knob]
-    if args.no_snapshot:
-        os.environ["REPRO_NO_SNAPSHOT"] = "1"  # simlint: ok[env-knob]
 
     if args.experiment == "list":
         width = max(len(k) for k in EXPERIMENTS)

@@ -20,15 +20,11 @@ Environment knobs:
 - ``REPRO_SWEEP_QUIET=1`` — suppress the per-cell stderr summary.
 
 Per-cell visibility: each grid cell logs one stderr line —
-``[sweep] 3/12 rocksdb/klocs ops=40000 .. computed 12.4s``,
-``.. restored 1.2s`` (setup phase warm-started from the snapshot store)
-or ``.. cached`` — so silent cache staleness (or a surprisingly slow
-cell) is visible at a glance.
-
-Sweeps are resumable at phase granularity: every completed setup is
-snapshotted (:mod:`repro.snapshot`) before measurement starts, so a
-killed sweep's finished cells return from the result cache and its
-interrupted cells skip straight to measurement on the next invocation.
+``[sweep] 3/12 rocksdb/klocs ops=40000 .. computed 12.4s`` or
+``.. cached`` — so silent cache staleness (or a surprisingly slow cell)
+is visible at a glance. Every finished cell is stored as it completes,
+so a killed sweep's finished cells return from the result cache on the
+next invocation.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from repro.experiments.cache import (
     run_to_payload,
 )
 from repro.experiments.runner import run_optane_interference, run_two_tier
-from repro.snapshot import SnapshotStore
 
 
 def default_jobs() -> int:  # simlint: config-site
@@ -80,26 +75,16 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
             run_seed=spec.seed,
             measure_setup=spec.measure_setup,
         )
-        payload = run_to_payload(run)
-        # Transient log hint only — run_specs pops it before caching, so
-        # cached payload bytes stay identical to the pre-snapshot era.
-        payload["_snap"] = "restored" if run.from_snapshot else "cold"
-        return payload
+        return run_to_payload(run)
     if spec.kind == "optane":
-        store = SnapshotStore()
         tput = run_optane_interference(
             spec.workload,
             spec.policy,
             spec.ops,
             scale_factor=spec.scale_factor,
             run_seed=spec.seed,
-            snapshots=store,
         )
-        return {
-            "kind": "optane",
-            "throughput": tput,
-            "_snap": "restored" if store.hits else "cold",
-        }
+        return {"kind": "optane", "throughput": tput}
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
@@ -188,36 +173,20 @@ def run_specs(
             computed_keys[key] = i
             leaders.append(i)
 
-    if leaders:
-        if jobs > 1 and len(leaders) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(leaders))) as pool:
-                futures = {
-                    pool.submit(_timed_execute, specs[i]): i for i in leaders
-                }
-                for future in as_completed(futures):
-                    i = futures[future]
-                    payload = future.result()
-                    wall_s = payload.pop("_wall_s", 0.0)
-                    status = (
-                        "restored"
-                        if payload.pop("_snap", "cold") == "restored"
-                        else "computed"
-                    )
-                    payloads[i] = payload
-                    cache.store(specs[i], payload)
-                    _log_cell(i, total, specs[i], status, wall_s, quiet=quiet)
-        else:
-            for i in leaders:
-                payload = _timed_execute(specs[i])
-                wall_s = payload.pop("_wall_s", 0.0)
-                status = (
-                    "restored"
-                    if payload.pop("_snap", "cold") == "restored"
-                    else "computed"
-                )
-                payloads[i] = payload
-                cache.store(specs[i], payload)
-                _log_cell(i, total, specs[i], status, wall_s, quiet=quiet)
+    def record(i: int, payload: Dict[str, Any]) -> None:
+        wall_s = payload.pop("_wall_s", 0.0)
+        payloads[i] = payload
+        cache.store(specs[i], payload)
+        _log_cell(i, total, specs[i], "computed", wall_s, quiet=quiet)
+
+    if jobs > 1 and len(leaders) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(leaders))) as pool:
+            futures = {pool.submit(_timed_execute, specs[i]): i for i in leaders}
+            for future in as_completed(futures):
+                record(futures[future], future.result())
+    else:
+        for i in leaders:
+            record(i, _timed_execute(specs[i]))
 
     for i, leader in followers.items():
         payloads[i] = payloads[leader]

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.runner import run_two_tier
+from repro.experiments.cache import two_tier_spec
+from repro.experiments.parallel import run_specs
 from repro.metrics.report import format_table
 
 
@@ -36,10 +37,21 @@ def run_prefetch_study(
     *,
     ops: Optional[int] = None,
 ) -> PrefetchReport:
+    """Each (workload, policy) pair runs with readahead on and off.
+
+    The readahead-on cells are the same specs as Fig 4's, so after a
+    Fig 4 sweep they come back from the result cache.
+    """
+    grid = [(w, p) for w in workloads for p in policies]
+    runs = run_specs(
+        [
+            two_tier_spec(w, p, ops=ops, readahead_enabled=readahead)
+            for w, p in grid
+            for readahead in (True, False)
+        ]
+    )
     report = PrefetchReport()
-    for workload in workloads:
-        for policy in policies:
-            on = run_two_tier(workload, policy, ops=ops, readahead_enabled=True)
-            off = run_two_tier(workload, policy, ops=ops, readahead_enabled=False)
-            report.ratios[(workload, policy)] = on.throughput / off.throughput
+    for i, cell in enumerate(grid):
+        on, off = runs[2 * i], runs[2 * i + 1]
+        report.ratios[cell] = on.throughput / off.throughput
     return report

@@ -1,21 +1,16 @@
 """Shared run machinery: build kernel → setup workload → measure.
 
-Runs are **two-phase** (setup → snapshot → measure): the load phase
-either replays cold or restores from the content-addressed snapshot
-store (:mod:`repro.snapshot`), keyed by the setup-affecting slice of the
-spec. Restored runs are byte-identical to cold runs (enforced by
-``tests/experiments/test_snapshot_equivalence.py``); ``REPRO_NO_SNAPSHOT=1``
-restores the always-cold legacy path. Because every completed setup is
-persisted before measurement begins, a killed sweep resumes from its
-last completed phase: finished cells come back from the result cache,
-half-done cells skip straight to measurement.
+Every run builds its kernel and replays the workload's load phase
+(``setup()``) before measuring; nothing is carried between runs. Sweeps
+dedupe whole cells through the result cache
+(:mod:`repro.experiments.cache`), never partial state.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.experiments.defaults import SCALE_FACTOR, ops_for, seed
 from repro.kernel.kernel import Kernel
@@ -23,9 +18,8 @@ from repro.kloc.registry import KlocRegistry
 from repro.metrics.footprint import FootprintSnapshot, footprint_snapshot
 from repro.metrics.references import ReferenceReport, reference_report
 from repro.platforms.twotier import PAPER_FAST_BYTES, build_two_tier_kernel
-from repro.snapshot import SnapshotStore, setup_key
 from repro.workloads import WORKLOADS
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import WorkloadResult
 
 
 def make_workload(kernel: Kernel, name: str, *, scale_factor: int = SCALE_FACTOR):
@@ -54,11 +48,6 @@ class TwoTierRun:
     migrations_down: int = 0
     migrations_up: int = 0
     kloc_metadata_bytes: int = 0
-    #: True when the setup phase came from the snapshot store instead of
-    #: a cold replay. Diagnostic only — never serialized into payloads
-    #: (cold and restored runs are byte-identical by contract) and never
-    #: part of equality.
-    from_snapshot: bool = field(default=False, compare=False)
 
     @property
     def throughput(self) -> float:
@@ -77,59 +66,28 @@ def run_two_tier(
     readahead_enabled: bool = True,
     run_seed: Optional[int] = None,
     measure_setup: bool = False,
-    snapshots: Optional[SnapshotStore] = None,
 ) -> TwoTierRun:
     """One measured workload run on the two-tier platform.
 
-    The load phase (setup) runs first — restored from the snapshot store
-    when a warmed kernel with this exact setup identity exists, replayed
-    cold otherwise (and then snapshotted for the next cell). Reference
-    counters reset after it so the reported split covers steady state,
-    as perf-counter measurements do. ``snapshots=None`` builds the
-    default store (honoring ``REPRO_NO_SNAPSHOT`` / ``REPRO_NO_CACHE`` /
-    ``REPRO_CACHE_DIR``); pass an explicit store to pin placement.
+    The load phase (setup) runs first. Reference counters reset after it
+    so the reported split covers steady state, as perf-counter
+    measurements do.
     """
-    resolved_seed = run_seed if run_seed is not None else seed()
-    store = snapshots if snapshots is not None else SnapshotStore()
-    key = None
-    kernel: Optional[Kernel] = None
-    wl: Optional[Workload] = None
-    restored = False
-    if store.enabled:
-        key = setup_key(
-            kind="two_tier",
-            workload=workload,
-            policy=policy,
-            scale_factor=scale_factor,
-            seed=resolved_seed,
-            bandwidth_ratio=bandwidth_ratio,
-            fast_bytes_paper=fast_bytes_paper,
-            registry=registry,
-            readahead_enabled=readahead_enabled,
-            retired_limit=0,
-        )
-        loaded = store.load(key)
-        if loaded is not None:
-            kernel, wl = loaded
-            restored = True
-    if kernel is None or wl is None:
-        kernel, _pol = build_two_tier_kernel(
-            policy,
-            scale_factor=scale_factor,
-            bandwidth_ratio=bandwidth_ratio,
-            fast_bytes_paper=fast_bytes_paper,
-            seed=resolved_seed,
-            registry=registry,
-            readahead_enabled=readahead_enabled,
-            # This runner never reads lifetime metrics, so the retired-frame
-            # log is dead weight — don't let it grow with every freed page.
-            # (Fig 2's characterization builds its own kernel, uncapped.)
-            retired_limit=0,
-        )
-        wl = make_workload(kernel, workload, scale_factor=scale_factor)
-        wl.setup()
-        if key is not None:
-            store.save(key, kernel, wl)
+    kernel, _pol = build_two_tier_kernel(
+        policy,
+        scale_factor=scale_factor,
+        bandwidth_ratio=bandwidth_ratio,
+        fast_bytes_paper=fast_bytes_paper,
+        seed=run_seed if run_seed is not None else seed(),
+        registry=registry,
+        readahead_enabled=readahead_enabled,
+        # This runner never reads lifetime metrics, so the retired-frame
+        # log is dead weight — don't let it grow with every freed page.
+        # (Fig 2's characterization builds its own kernel, uncapped.)
+        retired_limit=0,
+    )
+    wl = make_workload(kernel, workload, scale_factor=scale_factor)
+    wl.setup()
     if not measure_setup:
         kernel.reset_reference_counters()
     result = wl.run(ops if ops is not None else ops_for(workload))
@@ -153,7 +111,6 @@ def run_two_tier(
         kloc_metadata_bytes=(
             kernel.kloc_manager.peak_metadata_bytes if kernel.kloc_manager else 0
         ),
-        from_snapshot=restored,
     )
     wl.teardown()
     # REPRO_SANITIZE=1: audit the books after teardown (no-op otherwise).
@@ -169,7 +126,6 @@ def run_optane_interference(
     *,
     scale_factor: int = SCALE_FACTOR,
     run_seed: Optional[int] = None,
-    snapshots: Optional[SnapshotStore] = None,
 ) -> float:
     """§6.2's interference experiment: run, interfere, migrate, measure.
 
@@ -178,42 +134,18 @@ def run_optane_interference(
     the task to socket 1; the policy decides what data follows. Reported
     throughput covers the post-interference phase, where placement
     matters.
-
-    The snapshot point is right after ``setup()`` — the warm pre-phase
-    depends on ``ops`` (a measurement knob), so it replays on every run
-    and every ops point shares one warmed kernel.
     """
     from repro.platforms.optane import build_optane_kernel
     from repro.workloads.interference import StreamingInterferer
 
-    resolved_seed = run_seed if run_seed is not None else seed()
-    store = snapshots if snapshots is not None else SnapshotStore()
-    key = None
-    kernel: Optional[Kernel] = None
-    wl: Optional[Workload] = None
-    if store.enabled:
-        key = setup_key(
-            kind="optane",
-            workload=workload,
-            policy=policy,
-            scale_factor=scale_factor,
-            seed=resolved_seed,
-            retired_limit=0,
-        )
-        loaded = store.load(key)
-        if loaded is not None:
-            kernel, wl = loaded
-    if kernel is None or wl is None:
-        kernel, _pol = build_optane_kernel(
-            policy,
-            scale_factor=scale_factor,
-            seed=resolved_seed,
-            retired_limit=0,  # throughput-only measurement; no lifetime reads
-        )
-        wl = make_workload(kernel, workload, scale_factor=scale_factor)
-        wl.setup()
-        if key is not None:
-            store.save(key, kernel, wl)
+    kernel, _pol = build_optane_kernel(
+        policy,
+        scale_factor=scale_factor,
+        seed=run_seed if run_seed is not None else seed(),
+        retired_limit=0,  # throughput-only measurement; no lifetime reads
+    )
+    wl = make_workload(kernel, workload, scale_factor=scale_factor)
+    wl.setup()
     warm = max(1, ops // 3)
     wl.run(warm)
 

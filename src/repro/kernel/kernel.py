@@ -487,11 +487,7 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _on_knode_deleted(self, knode) -> None:
-        """KlocManager deletion hook: drop the daemon's pending mark.
-
-        A named method (not a lambda) so the kernel graph stays
-        snapshot-serializable — see ``repro.snapshot``.
-        """
+        """KlocManager deletion hook: drop the daemon's pending mark."""
         self.kloc_daemon.unmark(knode.knode_id)
 
     def on_inode_create(self, inode: Inode, *, cpu: int = 0) -> None:

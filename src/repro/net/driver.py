@@ -36,7 +36,7 @@ EARLY_DEMUX_COST_NS = 150 * NS
 
 def _resolve_no_inode(port: int) -> Optional["Inode"]:
     """Default resolver: no port → inode mapping (early demux finds
-    nothing). Module-level so driver state stays snapshot-serializable."""
+    nothing)."""
     return None
 
 

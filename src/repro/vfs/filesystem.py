@@ -32,11 +32,8 @@ INODE_UPDATE_RECORDS = 1
 class _RadixNodeOps:
     """Alloc/free callbacks for one page cache's radix-tree nodes.
 
-    A named class rather than closures so the whole filesystem graph
-    stays snapshot-serializable (``repro.snapshot`` pickles bound
-    methods by reference; it cannot pickle ``<locals>.<lambda>``).
     The creating CPU is captured so node churn stays attributed to the
-    CPU that built the cache, exactly as the old closures did.
+    CPU that built the cache.
     """
 
     __slots__ = ("ctx", "inode", "cpu")

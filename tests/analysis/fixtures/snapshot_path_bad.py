@@ -1,4 +1,4 @@
-"""Fixture: ad-hoc serialization outside the blessed snapshot path."""
+"""Fixture: serialization and deep copies of simulator state."""
 
 import marshal
 import pickle

@@ -1,18 +1,19 @@
-"""Fixture: serialization routed through repro.snapshot's surface.
+"""Fixture: a run leaves only as a JSON payload.
 
 Shallow ``copy.copy`` stays legal — only deep copies split the shared
-references a snapshot must preserve.
+references a kernel graph holds.
 """
 
 import copy
+import json
 
 
-def stash(store, key, kernel, workload):
-    store.save(key, kernel, workload)
+def stash(path, payload):
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def unstash(store, key):
-    return store.load(key)
+def unstash(path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def shallow_view(config):

@@ -66,15 +66,6 @@ def test_every_rule_has_a_failing_fixture():
     assert hit >= set(RULE_IDS)
 
 
-def test_snapshot_module_is_exempt_from_snapshot_path():
-    """repro.snapshot.state imports pickle by design — the rule must
-    recognize it as the blessed path, not flag it."""
-    violations = lint_paths(
-        [str(REPO_ROOT / "src" / "repro" / "snapshot" / "state.py")]
-    )
-    assert [v for v in violations if v.rule == "snapshot-path"] == []
-
-
 def test_violation_carries_location_and_message():
     (violation,) = [
         v

@@ -19,7 +19,9 @@ from repro.experiments.cache import (
     run_to_payload,
     two_tier_spec,
 )
+from repro.experiments.fig4 import run_figure4
 from repro.experiments.parallel import default_jobs, execute_spec, run_specs
+from repro.experiments.prefetch import run_prefetch_study
 from repro.experiments.runner import (
     run_optane_interference,
     run_two_tier,
@@ -193,9 +195,6 @@ class TestJobsControl:
 
     def test_sweep_log_lists_each_cell(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_SWEEP_QUIET", raising=False)
-        # Pin the snapshot store to this test's tmp dir too: a snapshot
-        # left by another test would turn "computed" into "restored".
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = ResultCache(tmp_path)
         run_specs([tiny_spec()], jobs=1, cache=cache)
         run_specs([tiny_spec()], jobs=1, cache=cache)
@@ -203,3 +202,38 @@ class TestJobsControl:
         assert "redis/klocs" in err
         assert "computed" in err
         assert "cached" in err
+
+
+class TestPrefetchStudy:
+    """§7.3 runs its readahead on/off pairs through the engine."""
+
+    def test_ratios_match_direct_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        report = run_prefetch_study(ops=TINY)
+        assert list(report.ratios) == [("rocksdb", "klocs"), ("rocksdb", "naive")]
+        for (workload, policy), ratio in report.ratios.items():
+            on = run_two_tier(workload, policy, ops=TINY)
+            off = run_two_tier(workload, policy, ops=TINY, readahead_enabled=False)
+            assert ratio == on.throughput / off.throughput
+
+    def test_second_study_is_served_from_cache(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SWEEP_QUIET", raising=False)
+        first = run_prefetch_study(ops=TINY)
+        capsys.readouterr()
+        second = run_prefetch_study(ops=TINY)
+        log = capsys.readouterr().err.splitlines()
+        assert len(log) == 4
+        assert all(line.endswith(".. cached") for line in log)
+        assert second.ratios == first.ratios
+
+    def test_readahead_on_cells_are_fig4_cells(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_figure4(workloads=("rocksdb",), policies=("klocs", "naive"), ops=TINY)
+        monkeypatch.delenv("REPRO_SWEEP_QUIET", raising=False)
+        capsys.readouterr()
+        run_prefetch_study(ops=TINY)
+        # Lines arrive in completion order; "[sweep] i/n" gives grid order.
+        log = sorted(capsys.readouterr().err.splitlines())
+        statuses = [line.split(" .. ")[1].split()[0] for line in log]
+        assert statuses == ["cached", "computed", "cached", "computed"]

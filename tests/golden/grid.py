@@ -1,6 +1,6 @@
 """The golden-digest grid: which cells are pinned and how each is hashed.
 
-Every cell runs cold (no result cache, no snapshot store) at a fixed
+Every cell runs cold (no result cache) at a fixed
 seed, scale and op budget, so its payload depends only on the simulator
 source. The digest is the sha256 of the payload's canonical JSON.
 
@@ -52,15 +52,9 @@ def digest(payload: Dict[str, Any]) -> str:
 def _two_tier_payload(workload: str, policy: str) -> Dict[str, Any]:
     from repro.experiments.cache import run_to_payload
     from repro.experiments.runner import run_two_tier
-    from repro.snapshot import SnapshotStore
 
     run = run_two_tier(
-        workload,
-        policy,
-        ops=OPS,
-        scale_factor=SCALE_FACTOR,
-        run_seed=SEED,
-        snapshots=SnapshotStore(enabled=False),
+        workload, policy, ops=OPS, scale_factor=SCALE_FACTOR, run_seed=SEED
     )
     return run_to_payload(run)
 
@@ -68,7 +62,6 @@ def _two_tier_payload(workload: str, policy: str) -> Dict[str, Any]:
 def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
     import repro.platforms.optane as optane
     from repro.experiments.runner import run_optane_interference
-    from repro.snapshot import SnapshotStore
 
     captured: List[Any] = []
     build = optane.build_optane_kernel
@@ -86,7 +79,6 @@ def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
             OPS,
             scale_factor=SCALE_FACTOR,
             run_seed=SEED,
-            snapshots=SnapshotStore(enabled=False),
         )
     finally:
         optane.build_optane_kernel = build
