@@ -5,6 +5,10 @@ seed, scale and op budget, so its payload depends only on the simulator
 source. The digest is the sha256 of the payload's canonical JSON.
 
 Two-tier cells hash :func:`repro.experiments.cache.run_to_payload`.
+The eviction cells are rocksdb runs long enough to pass page-cache
+eviction onset, with readahead on and off, so the digests also cover
+LRU eviction, the read-miss path, readahead fetches and the KLOC
+prefetch hook; their op budget and readahead flag are part of the id.
 Optane interference cells hash a payload built from the kernel the run
 used: reference and access-time attribution, migrations between the
 nodes, per-node hardware-cache and local/remote counters, and the final
@@ -15,8 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "digests.json"
 REGENERATE_CMD = "PYTHONPATH=src python -m tests.golden.regenerate"
@@ -29,6 +34,9 @@ TWO_TIER_WORKLOADS = ("rocksdb", "redis", "filebench", "cassandra", "spark")
 TWO_TIER_POLICIES = ("naive", "nimble", "nimble++", "klocs")
 OPTANE_WORKLOADS = ("cassandra", "redis")
 OPTANE_POLICIES = ("autonuma", "klocs", "all_local")
+EVICTION_OPS = 20_000
+EVICTION_WORKLOAD = "rocksdb"
+EVICTION_POLICIES = ("naive", "klocs")
 
 
 def cells() -> List[Tuple[str, str, str]]:
@@ -44,17 +52,61 @@ def cell_id(platform: str, workload: str, policy: str) -> str:
     return f"{platform}/{workload}/{policy}"
 
 
+def eviction_cells() -> List[Tuple[str, bool]]:
+    """Every (policy, readahead) eviction cell, in a stable order."""
+    return [(p, ra) for p in EVICTION_POLICIES for ra in (True, False)]
+
+
+def eviction_cell_id(policy: str, readahead: bool) -> str:
+    flag = "on" if readahead else "off"
+    return (
+        f"two_tier/{EVICTION_WORKLOAD}/{policy}"
+        f"/ops{EVICTION_OPS}/readahead-{flag}"
+    )
+
+
+def all_cell_ids() -> List[str]:
+    return [cell_id(*c) for c in cells()] + [
+        eviction_cell_id(*c) for c in eviction_cells()
+    ]
+
+
 def digest(payload: Dict[str, Any]) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _two_tier_payload(workload: str, policy: str) -> Dict[str, Any]:
+@contextmanager
+def _captured_kernel(module: Any, builder: str) -> Iterator[List[Any]]:
+    """Wrap ``module.builder`` so every kernel it builds is collected."""
+    build = getattr(module, builder)
+    captured: List[Any] = []
+
+    def capture(*args: Any, **kwargs: Any) -> Any:
+        kernel, pol = build(*args, **kwargs)
+        captured.append(kernel)
+        return kernel, pol
+
+    setattr(module, builder, capture)
+    try:
+        yield captured
+    finally:
+        setattr(module, builder, build)
+
+
+def _two_tier_payload(
+    workload: str, policy: str, ops: int = OPS, readahead: bool = True
+) -> Dict[str, Any]:
     from repro.experiments.cache import run_to_payload
     from repro.experiments.runner import run_two_tier
 
     run = run_two_tier(
-        workload, policy, ops=OPS, scale_factor=SCALE_FACTOR, run_seed=SEED
+        workload,
+        policy,
+        ops=ops,
+        scale_factor=SCALE_FACTOR,
+        readahead_enabled=readahead,
+        run_seed=SEED,
     )
     return run_to_payload(run)
 
@@ -63,16 +115,7 @@ def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
     import repro.platforms.optane as optane
     from repro.experiments.runner import run_optane_interference
 
-    captured: List[Any] = []
-    build = optane.build_optane_kernel
-
-    def capture(*args: Any, **kwargs: Any) -> Any:
-        kernel, pol = build(*args, **kwargs)
-        captured.append(kernel)
-        return kernel, pol
-
-    optane.build_optane_kernel = capture
-    try:
+    with _captured_kernel(optane, "build_optane_kernel") as captured:
         throughput = run_optane_interference(
             workload,
             policy,
@@ -80,8 +123,6 @@ def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
             scale_factor=SCALE_FACTOR,
             run_seed=SEED,
         )
-    finally:
-        optane.build_optane_kernel = build
     (kernel,) = captured
     topo = kernel.topology
     nodes = {}
@@ -133,6 +174,16 @@ def payload(platform: str, workload: str, policy: str) -> Dict[str, Any]:
 
 def compute(platform: str, workload: str, policy: str) -> str:
     return digest(payload(platform, workload, policy))
+
+
+def eviction_run(policy: str, readahead: bool) -> Tuple[str, int]:
+    """(digest, pages evicted from the page cache) of one eviction cell."""
+    import repro.experiments.runner as runner
+
+    with _captured_kernel(runner, "build_two_tier_kernel") as captured:
+        blob = _two_tier_payload(EVICTION_WORKLOAD, policy, EVICTION_OPS, readahead)
+    (kernel,) = captured
+    return digest(blob), kernel.fs.cache_mgr.evicted
 
 
 def load() -> Dict[str, Any]:

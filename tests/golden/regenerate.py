@@ -28,10 +28,20 @@ def main() -> int:
         t0 = perf_counter()
         cid = grid.cell_id(platform, workload, policy)
         digests[cid] = grid.compute(platform, workload, policy)
-        print(f"{cid:32s} {digests[cid][:16]}  {perf_counter() - t0:.1f}s", file=sys.stderr)
+        print(f"{cid:46s} {digests[cid][:16]}  {perf_counter() - t0:.1f}s", file=sys.stderr)
+    for policy, readahead in grid.eviction_cells():
+        t0 = perf_counter()
+        cid = grid.eviction_cell_id(policy, readahead)
+        digests[cid], evicted = grid.eviction_run(policy, readahead)
+        print(
+            f"{cid:46s} {digests[cid][:16]}  {perf_counter() - t0:.1f}s  "
+            f"{evicted} pages evicted",
+            file=sys.stderr,
+        )
     record = {
         "sim_version": SIM_VERSION,
         "ops": grid.OPS,
+        "eviction_ops": grid.EVICTION_OPS,
         "seed": grid.SEED,
         "scale_factor": grid.SCALE_FACTOR,
         "digests": digests,

@@ -23,24 +23,18 @@ def _regen_hint() -> str:
 
 def test_record_matches_grid():
     assert RECORD["ops"] == grid.OPS
+    assert RECORD["eviction_ops"] == grid.EVICTION_OPS
     assert RECORD["seed"] == grid.SEED
     assert RECORD["scale_factor"] == grid.SCALE_FACTOR
-    expected = {grid.cell_id(*cell) for cell in grid.cells()}
-    assert set(RECORD["digests"]) == expected, _regen_hint()
+    assert set(RECORD["digests"]) == set(grid.all_cell_ids()), _regen_hint()
 
 
-@pytest.mark.parametrize(
-    "platform,workload,policy", grid.cells(), ids=lambda v: str(v)
-)
-def test_golden_digest(monkeypatch, platform, workload, policy):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+def _check(cid: str, got: str) -> None:
     if RECORD["sim_version"] != SIM_VERSION:
         pytest.fail(
             f"digests were recorded under SIM_VERSION {RECORD['sim_version']!r} "
             f"but the simulator is {SIM_VERSION!r}; {_regen_hint()}"
         )
-    cid = grid.cell_id(platform, workload, policy)
-    got = grid.compute(platform, workload, policy)
     want = RECORD["digests"][cid]
     if got != want:
         pytest.fail(
@@ -49,3 +43,25 @@ def test_golden_digest(monkeypatch, platform, workload, policy):
             f"intended, bump SIM_VERSION in repro/core/version.py and "
             f"{_regen_hint()}"
         )
+
+
+@pytest.mark.parametrize(
+    "platform,workload,policy", grid.cells(), ids=lambda v: str(v)
+)
+def test_golden_digest(monkeypatch, platform, workload, policy):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    cid = grid.cell_id(platform, workload, policy)
+    _check(cid, grid.compute(platform, workload, policy))
+
+
+@pytest.mark.parametrize(
+    "policy,readahead",
+    grid.eviction_cells(),
+    ids=[grid.eviction_cell_id(*c) for c in grid.eviction_cells()],
+)
+def test_eviction_digest(monkeypatch, policy, readahead):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    got, evicted = grid.eviction_run(policy, readahead)
+    # A cell that never evicts pins nothing the 600-op cells do not.
+    assert evicted > 0, "cell ends before page-cache eviction onset"
+    _check(grid.eviction_cell_id(policy, readahead), got)
