@@ -291,11 +291,9 @@ class Kernel:
             else:
                 tier.bytes_read += nbytes
                 cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
-        self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
         cell = self._access_ns_n[owner][tier_name]
         cell[0] += cost
         cell[1] += 1
-        self.refs_by_owner[owner] += 1
         # frame.record_access(t, write=write), inlined:
         frame.last_access = t
         frame.lru_age = 0
@@ -568,15 +566,23 @@ class Kernel:
         """(tier_name, is_kernel) → reference count, for placement quality
         diagnostics (what fraction of traffic actually hit fast memory).
 
-        Materialized from the preallocated nested counters; reporting
-        frequency only — the hot path never builds this."""
-        out: Dict[tuple, int] = {}
-        for tier_name, counts in self._refs_by_tier_n.items():
-            if counts[0]:
-                out[(tier_name, False)] = counts[0]
-            if counts[1]:
-                out[(tier_name, True)] = counts[1]
-        return out
+        Tier order, app before kernel, accessed pairs only; summed from
+        the (owner, tier) charge counts at reporting time."""
+        tiers = self._access_ns_n[_OWNER_APP]
+        out = {(t, is_kernel): 0 for t in tiers for is_kernel in (False, True)}
+        for owner, by_tier in self._access_ns_n.items():
+            for tier_name, cell in by_tier.items():
+                out[(tier_name, owner is not _OWNER_APP)] += cell[1]
+        return {key: n for key, n in out.items() if n}
+
+    @property
+    def refs_by_owner(self) -> Dict[PageOwner, int]:
+        """Owner → reference count, every :class:`PageOwner` present, in
+        enum order; summed from the (owner, tier) charge counts."""
+        return {
+            owner: sum(cell[1] for cell in by_tier.values())
+            for owner, by_tier in self._access_ns_n.items()
+        }
 
     @property
     def access_ns_by(self) -> Dict[tuple, int]:
@@ -599,14 +605,10 @@ class Kernel:
         self.kernel_ref_bytes = 0
         self.app_refs = 0
         self.app_ref_bytes = 0
-        self.refs_by_owner: Dict[PageOwner, int] = {o: 0 for o in PageOwner}
-        #: tier → [app_refs, kernel_refs]; indexed by ``owner is not APP``.
-        self._refs_by_tier_n: Dict[str, List[int]] = {
-            t: [0, 0] for t in self._tiers
-        }
-        #: owner → tier → [cumulative ns, access count]. The count decides
-        #: which keys ``access_ns_by`` reports (a zero-cost access still
-        #: creates its key).
+        #: owner → tier → [cumulative ns, access count]: the one charge
+        #: counter. The count decides which keys ``access_ns_by`` reports
+        #: (a zero-cost access still creates its key), and ``refs_by_tier``
+        #: and ``refs_by_owner`` are its marginals.
         self._access_ns_n: Dict[PageOwner, Dict[str, List[int]]] = {
             o: {t: [0, 0] for t in self._tiers} for o in PageOwner
         }
@@ -614,8 +616,9 @@ class Kernel:
     def fast_ref_fraction(self, fast_tier: str = "fast") -> float:
         """Fraction of references served by the fast tier — the quantity
         tiering quality ultimately controls."""
-        total = sum(self.refs_by_tier.values())
-        fast = sum(n for (t, _k), n in self.refs_by_tier.items() if t == fast_tier)
+        by_tier = self.refs_by_tier
+        total = sum(by_tier.values())
+        fast = sum(n for (t, _k), n in by_tier.items() if t == fast_tier)
         return fast / total if total else 0.0
 
     def kernel_ref_fraction(self) -> float:

@@ -1,17 +1,17 @@
-"""The global kmap: every knode in the system, in one RCU red-black tree.
+"""The global kmap: every knode in the system, keyed by knode id.
 
 Figure 1: "All the KLOCs in the system are tracked using a kmap." §4.3
 protects it with RCU ("multi-reader, single-writer") and fronts it with
-the per-CPU lists; the rbtree access counters here are the denominator of
-the 54%-reduction statistic.
+the per-CPU lists. The paper's rbtree is an id-ordered dict here; a
+counted :meth:`KMap.lookup` stands for one tree search, the denominator
+of the 54%-reduction statistic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.errors import SimulationError
-from repro.ds.rbtree import RedBlackTree
 from repro.ds.rcu import RCUDomain
 from repro.kloc.knode import Knode
 
@@ -20,48 +20,40 @@ class KMap:
     """knode_id → Knode, plus LRU extraction for the migration daemon."""
 
     def __init__(self) -> None:
-        self._tree = RedBlackTree()
-        # Host-side id → knode shadow of the rbtree. The tree remains the
-        # modeled structure (its size drives metadata accounting, its
-        # counters drive the §4.3 statistics); the dict resolves pointers
-        # in O(1) and lists the knodes in the tree's key order (see add).
-        self._by_id: dict = {}
+        # Insertion order is id order: add() only accepts increasing ids.
+        self._by_id: Dict[int, Knode] = {}
         self.rcu = RCUDomain("kmap")
         self.rbtree_accesses = 0
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._by_id)
 
     def __contains__(self, knode_id: int) -> bool:
-        return knode_id in self._tree
+        return knode_id in self._by_id
 
     def add(self, knode: Knode) -> None:
         """Table 2's add_to_kmap()."""
         if self._by_id and knode.knode_id <= next(reversed(self._by_id)):
             raise SimulationError(f"knode {knode.knode_id} not above the kmap's ids")
         self.rcu.write()
-        self._tree.insert(knode.knode_id, knode)
         self._by_id[knode.knode_id] = knode
 
     def remove(self, knode_id: int) -> bool:
         self.rcu.write()
-        self._by_id.pop(knode_id, None)
-        return self._tree.delete(knode_id)
+        return self._by_id.pop(knode_id, None) is not None
 
     def lookup(self, knode_id: int) -> Optional[Knode]:
         """rbtree search — the slow path the per-CPU lists short-circuit."""
         self.rcu.read()
         self.rbtree_accesses += 1
-        return self._tree.get(knode_id)
+        return self._by_id.get(knode_id)
 
     def get_uncounted(self, knode_id: int) -> Optional[Knode]:
         """Resolve a knode without rbtree accounting.
 
         Models a direct pointer chase — a per-CPU list hit already holds
-        the knode pointer (§4.3), so neither the RCU read counter, the
-        kmap access counter, nor the tree's search statistics move. This
-        is the public API for paths that previously reached into
-        ``_tree`` directly.
+        the knode pointer (§4.3), so neither the RCU read counter nor the
+        kmap access counter moves.
         """
         return self._by_id.get(knode_id)
 

@@ -5,17 +5,20 @@ within each knode — *rbtree-cache* tracks large kernel objects allocated
 using non-slab allocators, while *rbtree-slab* tracks smaller kernel
 objects allocated using slab allocators."
 
+The two sets keep the paper's names but are ``{oid: object}`` dicts
+(no simulated cost depends on a tree's shape), walked in ascending oid
+order as an in-order tree walk would be; adoption adds older oids later.
+
 Table 6's metadata accounting lives here too: 8 bytes of rb-tree pointer
 per tracked object plus a 64-byte knode structure per inode.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.alloc.base import KernelObject
 from repro.core.objtypes import AllocatorKind
-from repro.ds.rbtree import NIL, RedBlackTree
 from repro.mem.frame import PageFrame
 
 #: sizeof(struct knode) — §7.1: "64 byte KLOC structure attached to each
@@ -26,14 +29,20 @@ KNODE_STRUCT_BYTES = 64
 RB_POINTER_BYTES = 8
 
 
+def _by_oid(members: Dict[int, KernelObject]) -> List[KernelObject]:
+    """Members in ascending oid order — the in-order walk of the tree."""
+    return [members[oid] for oid in sorted(members)]
+
+
 class Knode:
     """One KLOC: all kernel objects of one file/socket inode."""
 
     def __init__(self, knode_id: int, ino: int, *, created_at: int = 0) -> None:
         self.knode_id = knode_id
         self.ino = ino
-        self.rbtree_cache = RedBlackTree()
-        self.rbtree_slab = RedBlackTree()
+        #: oid → object, walked in oid order (see :func:`_by_oid`).
+        self.rbtree_cache: Dict[int, KernelObject] = {}
+        self.rbtree_slab: Dict[int, KernelObject] = {}
         #: §4.3: zeroed on access, incremented by LRU scans that skip it.
         self.age = 0
         #: True while the file/socket is open (§4.1's *inuse*).
@@ -48,7 +57,7 @@ class Knode:
     # membership
     # ------------------------------------------------------------------
 
-    def _tree_for(self, obj: KernelObject) -> RedBlackTree:
+    def _tree_for(self, obj: KernelObject) -> Dict[int, KernelObject]:
         if obj.otype.allocator is AllocatorKind.SLAB and obj.allocator in ("slab", "kloc"):
             return self.rbtree_slab
         return self.rbtree_cache
@@ -61,9 +70,9 @@ class Knode:
             "slab",
             "kloc",
         ):
-            self.rbtree_slab.insert(obj.oid, obj)
+            self.rbtree_slab[obj.oid] = obj
         else:
-            self.rbtree_cache.insert(obj.oid, obj)
+            self.rbtree_cache[obj.oid] = obj
         self._frames = None
         count = len(self.rbtree_cache) + len(self.rbtree_slab)
         if count > self.peak_objects:
@@ -74,12 +83,13 @@ class Knode:
             "slab",
             "kloc",
         ):
-            removed = self.rbtree_slab.delete(obj.oid)
+            members = self.rbtree_slab
         else:
-            removed = self.rbtree_cache.delete(obj.oid)
-        if removed:
-            self._frames = None
-        return removed
+            members = self.rbtree_cache
+        if members.pop(obj.oid, None) is None:
+            return False
+        self._frames = None
+        return True
 
     def has_obj(self, obj: KernelObject) -> bool:
         return obj.oid in self._tree_for(obj)
@@ -89,12 +99,12 @@ class Knode:
         return len(self.rbtree_cache) + len(self.rbtree_slab)
 
     def iter_cache(self) -> Iterator[KernelObject]:
-        """Table 2's itr_knode_cache()."""
-        return self.rbtree_cache.values()
+        """Table 2's itr_knode_cache(), in oid order."""
+        return iter(_by_oid(self.rbtree_cache))
 
     def iter_slab(self) -> Iterator[KernelObject]:
-        """Table 2's itr_knode_slab()."""
-        return self.rbtree_slab.values()
+        """Table 2's itr_knode_slab(), in oid order."""
+        return iter(_by_oid(self.rbtree_slab))
 
     def iter_all(self) -> Iterator[KernelObject]:
         yield from self.iter_cache()
@@ -135,25 +145,18 @@ class Knode:
         return [f for f in cached if f.freed_at is None]
 
     def walk_frames(self) -> List[PageFrame]:
-        """In-order walk of both subtrees (cache tree first), first live
-        occurrence of a frame winning; an explicit stack, not generators."""
+        """Both member sets in oid order (cache set first), first live
+        occurrence of a frame winning."""
         seen: Set[int] = set()
         out: List[PageFrame] = []
-        for tree in (self.rbtree_cache, self.rbtree_slab):
-            stack: List = []
-            node = tree.root
-            while stack or node is not NIL:
-                while node is not NIL:
-                    stack.append(node)
-                    node = node.left
-                node = stack.pop()
-                frame = node.value.frame
+        for members in (self.rbtree_cache, self.rbtree_slab):
+            for obj in _by_oid(members):
+                frame = obj.frame
                 if frame.freed_at is None:
                     fid = frame.fid
                     if fid not in seen:
                         seen.add(fid)
                         out.append(frame)
-                node = node.right
         return out
 
     # ------------------------------------------------------------------

@@ -19,9 +19,11 @@ from repro.ds.lru import ActiveInactiveLRU
 from repro.ds.radix import RadixTree
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class CachePage:
-    """One cached file page: the PAGE_CACHE object plus its identity."""
+    """One cached file page: the PAGE_CACHE object plus its position.
+    Hashed by identity: the radix tree admits one page per index, so no
+    two live pages are ever equal."""
 
     obj: KernelObject
     ino: int
@@ -33,16 +35,6 @@ class CachePage:
 
     def clean(self) -> None:
         self.obj.frame.dirty = False
-
-    def __hash__(self) -> int:
-        return hash((self.ino, self.index))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CachePage)
-            and other.ino == self.ino
-            and other.index == self.index
-        )
 
 
 class PageCache:

@@ -257,7 +257,7 @@ def test_member_inserted_behind_add_obj_detected_at_scan(sankernel):
     )
     knode.frames()  # the walk is now cached
     obj = sankernel.alloc_object(KernelObjectType.PAGE_CACHE)  # its own frame
-    knode.rbtree_cache.insert(obj.oid, obj)  # a membership change add_obj missed
+    knode.rbtree_cache[obj.oid] = obj  # a membership change add_obj missed
     with pytest.raises(SanitizerError) as exc:
         sankernel.kloc_daemon.run(sankernel.clock.now())
     msg = str(exc.value)

@@ -1,13 +1,13 @@
 """Cached knode frame lists, the O(1) kernel share and the kmap listing
 against brute-force recomputation.
 
-``Knode.frames`` caches its tree walk until membership changes, and
+``Knode.frames`` caches its oid-order walk until membership changes, and
 ``KlocMigrationDaemon.knode_frames`` merges the KLOC allocator's pages of
 the knode on every call. Random sequences of file churn, direct covered
 slab and page allocations and frees, adoptions, close/reopen, unlink,
 explicit migrations, fast-tier pressure and clock jumps must leave every
 knode's ``knode_frames`` equal — same frames, same order — to a fresh
-walk of its two trees followed by its allocator pages. The daemon runs
+walk of its two member sets followed by its allocator pages. The daemon runs
 with a period shorter than a few KLOC allocations, so it also fires
 inside ``KlocAllocator.alloc``'s clock advance, between a new page's
 registration and the ``add_obj`` of the object placed on it; the check
@@ -173,7 +173,7 @@ class _Harness:
             assert topology.kernel_pages_in(name) == brute_kernel_pages(topology, name)
         topology.check_invariants()
         kmap = kernel.kloc_manager.kmap
-        walked = list(kmap._tree.values())
+        walked = sorted(kmap.all_knodes(), key=lambda k: k.knode_id)
         assert kmap.all_knodes() == walked
         lru = [k for k in walked if not k.inuse or k.age >= 2]
         lru.sort(key=lambda k: (k.inuse, k.last_access))

@@ -48,6 +48,36 @@ class TestKnodeMembership:
         knode.add_obj(make_obj(kernel, KernelObjectType.PAGE_CACHE))
         assert len(list(knode.iter_all())) == 2
 
+    def test_walks_follow_oid_order_not_insertion_order(self, kernel):
+        """Adoption adds older oids later; every walk still visits each
+        member set in ascending oid order, cache set first."""
+        pages = [make_obj(kernel, KernelObjectType.PAGE_CACHE) for _ in range(10)]
+        slabs = [
+            make_obj(kernel, otype)
+            for otype in (
+                KernelObjectType.DENTRY,
+                KernelObjectType.EXTENT,
+                KernelObjectType.INODE,
+                KernelObjectType.RADIX_NODE,
+            )
+        ]
+        knode = Knode(1, ino=10)
+        for obj in (pages[5], pages[9], pages[3], slabs[2], slabs[3], slabs[0]):
+            knode.add_obj(obj)
+        cache = [pages[3], pages[5], pages[9]]
+        slab = [slabs[0], slabs[2], slabs[3]]
+        members = cache + slab
+        assert [o.oid for o in cache] == sorted(o.oid for o in cache)
+        assert [o.oid for o in slab] == sorted(o.oid for o in slab)
+        # One frame per member, so the frame walk shows the order too.
+        assert len({o.frame.fid for o in members}) == len(members)
+        assert list(knode.iter_cache()) == cache
+        assert list(knode.iter_slab()) == slab
+        assert list(knode.iter_all()) == members
+        frames = [o.frame for o in members]
+        assert knode.walk_frames() == frames
+        assert knode.frames() == frames
+
     def test_frames_deduplicates_shared_slab_pages(self, kernel):
         """Many dentries share one slab page → one frame to migrate."""
         knode = Knode(1, ino=10)

@@ -140,7 +140,8 @@ def test_topology_counters_track_frame_table(ops):
     )
 )
 def test_knode_membership_mirrors_adds_and_removes(ops):
-    """knode_add_obj/remove_obj keep the trees exactly in sync."""
+    """knode_add_obj/remove_obj keep the member sets exactly in sync,
+    and each set iterates in oid order."""
     topo = fresh_topology()
     slab = SlabAllocator(topo, Clock())
     knode = Knode(1, ino=1)
@@ -156,8 +157,9 @@ def test_knode_membership_mirrors_adds_and_removes(ops):
             del tracked[oid]
     assert knode.object_count == len(tracked)
     assert {o.oid for o in knode.iter_all()} == set(tracked)
-    knode.rbtree_cache.check_invariants()
-    knode.rbtree_slab.check_invariants()
+    for members in (knode.iter_cache(), knode.iter_slab()):
+        oids = [o.oid for o in members]
+        assert oids == sorted(oids)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
