@@ -14,8 +14,8 @@ fan out across REPRO_JOBS workers and completed runs are replayed from
 ``.repro_cache/``. The *shape* assertions are unaffected (cached results
 are bit-identical), so warm-cache re-runs are near-instant; when the
 recorded pytest-benchmark timing itself is the point, run with
-``REPRO_NO_CACHE=1`` (wall-clock trajectory is otherwise tracked by
-``scripts/smoke_bench.py`` in CI, which always bypasses the cache).
+``REPRO_NO_CACHE=1`` (host wall-clock is otherwise measured by
+``perfbench/run.py``, whose cells always run cold).
 """
 
 import pytest
