@@ -5,7 +5,7 @@ paper's expected bands, and summarize reproduction status — the
 from repro.analysis.expectations import PAPER_EXPECTATIONS, Band
 from repro.analysis.results import load_results, save_results
 from repro.analysis.sweep import SweepResult, run_sweep
-from repro.analysis.verdict import Verdict, check_fig4, check_fig5a
+from repro.analysis.verdict import Verdict, check
 
 __all__ = [
     "Band",
@@ -15,6 +15,5 @@ __all__ = [
     "run_sweep",
     "SweepResult",
     "Verdict",
-    "check_fig4",
-    "check_fig5a",
+    "check",
 ]

@@ -1,19 +1,17 @@
-"""Reproduction verdicts: compare measured reports to the paper's bands.
+"""Reproduction verdicts: check a report against the paper's claims.
 
-The benches assert these same shapes at run time; this module exposes
-them as data so reports can be audited offline (EXPERIMENTS.md style).
+``check(experiment_id, report)`` evaluates every claim the table in
+:mod:`repro.analysis.expectations` holds for that registry id. A claim
+whose value cannot be read from the report is a MISS, never skipped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import Any, List
 
 from repro.analysis.expectations import PAPER_EXPECTATIONS, Band
-
-if TYPE_CHECKING:
-    from repro.experiments.fig4 import Fig4Report
-    from repro.experiments.fig5 import Fig5aReport
 
 
 @dataclass
@@ -25,12 +23,15 @@ class Check:
     measured: float
     band: Band
     ok: bool
+    #: Why the value could not be read; empty when it was.
+    error: str = ""
 
     def __repr__(self) -> str:
         mark = "PASS" if self.ok else "MISS"
+        value = f"unreadable ({self.error})" if self.error else f"{self.measured:.3f}"
         return (
             f"[{mark}] {self.experiment}/{self.metric}: "
-            f"measured={self.measured:.3f}, expected {self.band!r}"
+            f"measured={value}, expected {self.band!r}"
         )
 
 
@@ -44,56 +45,29 @@ class Verdict:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add(self, experiment: str, metric: str, measured: float) -> Check:
-        band = PAPER_EXPECTATIONS[(experiment, metric)]
-        check = Check(experiment, metric, measured, band, band.contains(measured))
-        self.checks.append(check)
-        return check
+    def add(
+        self, experiment: str, metric: str, measured: float, error: str = ""
+    ) -> Check:
+        band = PAPER_EXPECTATIONS[(experiment, metric)].band
+        ok = not error and band.contains(measured)
+        result = Check(experiment, metric, measured, band, ok, error)
+        self.checks.append(result)
+        return result
 
     def format_report(self) -> str:
         return "\n".join(repr(c) for c in self.checks)
 
 
-def check_fig4(report: "Fig4Report") -> Verdict:
-    """Audit a Figure 4 report against §7.1's claims."""
+def check(experiment_id: str, report: Any) -> Verdict:
+    """Audit one experiment's report against every claim keyed to its id."""
     verdict = Verdict()
-    s = report.speedups
-    if "rocksdb" in s:
-        verdict.add(
-            "fig4", "rocksdb_klocs_over_naive", report.ratio("rocksdb", "klocs", "naive")
-        )
-        verdict.add(
-            "fig4",
-            "rocksdb_klocsnomig_over_naive",
-            report.ratio("rocksdb", "klocs_nomigration", "naive"),
-        )
-    if "redis" in s:
-        verdict.add(
-            "fig4", "redis_klocs_over_naive", report.ratio("redis", "klocs", "naive")
-        )
-        verdict.add(
-            "fig4", "redis_klocs_over_nimble", report.ratio("redis", "klocs", "nimble")
-        )
-    if "cassandra" in s:
-        verdict.add(
-            "fig4",
-            "cassandra_klocs_over_nimblepp",
-            report.ratio("cassandra", "klocs", "nimble++"),
-        )
-    return verdict
-
-
-def check_fig5a(report: "Fig5aReport") -> Verdict:
-    """Audit a Figure 5a report against §7.1's Optane claims."""
-    verdict = Verdict()
-    for workload, speedups in report.speedups.items():
-        verdict.add("fig5a", "ideal_over_remote", speedups["all_local"])
-        verdict.add(
-            "fig5a",
-            "klocs_over_autonuma",
-            speedups["klocs"] / speedups["autonuma"],
-        )
-        verdict.add(
-            "fig5a", "klocs_over_nimble", speedups["klocs"] / speedups["nimble"]
-        )
+    for (experiment, metric), claim in PAPER_EXPECTATIONS.items():
+        if experiment != experiment_id:
+            continue
+        try:
+            verdict.add(experiment, metric, claim.read(report))
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            verdict.add(experiment, metric, math.nan, f"{type(exc).__name__}: {exc}")
+    if not verdict.checks:
+        raise KeyError(f"no claims recorded for experiment {experiment_id!r}")
     return verdict

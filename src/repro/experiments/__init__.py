@@ -2,8 +2,8 @@
 
 Every experiment returns a structured result object with a
 ``format_report()`` method printing the same rows/series the paper
-reports, and the benchmark suite under ``benchmarks/`` drives these
-functions one-to-one.
+reports; ``repro.analysis.verdict.check`` holds each one to the paper's
+claims (``python -m repro.experiments <id> --verdict``).
 """
 
 import importlib
@@ -36,29 +36,7 @@ _EXPORTS = {
     "run_table6_overhead": "table6",
 }
 
-__all__ = [
-    "run_two_tier",
-    "TwoTierRun",
-    "RunSpec",
-    "ResultCache",
-    "SIM_VERSION",
-    "two_tier_spec",
-    "run_specs",
-    "default_jobs",
-    "run_fig2a_footprint",
-    "run_fig2b_scaling",
-    "run_fig2c_references",
-    "run_fig2d_lifetimes",
-    "run_figure4",
-    "run_fig5a_optane",
-    "run_fig5b_sources",
-    "run_fig5c_objtypes",
-    "run_figure6",
-    "run_table6_overhead",
-    "run_percpu_ablation",
-    "run_prefetch_study",
-    "EXPERIMENTS",
-]
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str) -> Any:

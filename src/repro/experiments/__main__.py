@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments fig4
     python -m repro.experiments fig5b --ops 8000
-    REPRO_QUICK=1 python -m repro.experiments fig6
+    python -m repro.experiments prefetch --verdict    # check the paper's claims
     python -m repro.experiments fig4 --jobs 8         # parallel sweep
     python -m repro.experiments fig4 --no-cache       # force recompute
     python -m repro.experiments --cache-info          # result-cache usage
@@ -64,8 +64,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verdict",
         action="store_true",
-        help="audit the report against the paper's expected bands "
-        "(fig4/fig5a only)",
+        help="check the report against the paper's claims; "
+        "exit 1 on any MISS",
     )
     parser.add_argument(
         "--jobs",
@@ -135,16 +135,11 @@ def main(argv=None) -> int:
         print(f"\nsaved: {path}")
 
     if args.verdict:
-        from repro.analysis.verdict import check_fig4, check_fig5a
+        from repro.analysis.verdict import check
 
-        checkers = {"fig4": check_fig4, "fig5a": check_fig5a}
-        checker = checkers.get(args.experiment)
-        if checker is None:
-            print("\n(no verdict checker for this experiment)")
-        else:
-            verdict = checker(report)
-            print("\n" + verdict.format_report())
-            return 0 if verdict.ok else 1
+        verdict = check(args.experiment, report)
+        print("\n" + verdict.format_report())
+        return 0 if verdict.ok else 1
     return 0
 
 

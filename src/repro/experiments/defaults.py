@@ -1,7 +1,6 @@
-"""Shared experiment defaults: scale, op budgets, and the quick switch.
+"""Shared experiment defaults: scale, op budgets and the seed.
 
-Set ``REPRO_QUICK=1`` to shrink every experiment by ~4x (CI-friendly);
-``REPRO_FULL=1`` doubles op budgets for tighter steady-state numbers.
+Pass ``ops`` to a runner (``--ops`` on the CLI) to shrink a run.
 """
 
 from __future__ import annotations
@@ -30,20 +29,9 @@ EVAL_WORKLOADS = ("rocksdb", "redis", "filebench", "cassandra")
 SWEEP_WORKLOADS = ("rocksdb", "redis")
 
 
-def _factor() -> float:  # simlint: config-site
-    if os.environ.get("REPRO_QUICK"):
-        return 0.25
-    if os.environ.get("REPRO_FULL"):
-        return 2.0
-    return 1.0
-
-
 def ops_for(workload: str) -> int:
-    """Measurement op budget for one workload, honoring REPRO_QUICK/FULL."""
-    base = DEFAULT_OPS.get(workload)
-    if base is None:
-        raise KeyError(f"no op budget for workload {workload!r}")
-    return max(500, int(base * _factor()))
+    """Measurement op budget for one workload."""
+    return DEFAULT_OPS[workload]
 
 
 def seed() -> int:  # simlint: config-site

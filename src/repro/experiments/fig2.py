@@ -15,6 +15,7 @@ the characterization is about the workloads, not a tiering policy.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -117,15 +118,7 @@ def _characterize(
     )
     wl = make_workload(kernel, workload)
     if dataset_bytes is not None:
-        cfg = wl.config
-        wl.config = type(cfg)(
-            name=cfg.name,
-            dataset_bytes=dataset_bytes,
-            scale_factor=cfg.scale_factor,
-            num_threads=cfg.num_threads,
-            value_bytes=cfg.value_bytes,
-            extra=cfg.extra,
-        )
+        wl.config = dataclasses.replace(wl.config, dataset_bytes=dataset_bytes)
     wl.setup()
     kernel.reset_reference_counters()
     wl.run(ops if ops is not None else ops_for(workload))
@@ -139,20 +132,24 @@ def _characterize(
     return result
 
 
-def run_fig2a_footprint(workloads=tuple(WORKLOADS)) -> Fig2Report:
+def run_fig2a_footprint(
+    workloads=tuple(WORKLOADS), *, ops: Optional[int] = None
+) -> Fig2Report:
     """Fig 2a: footprint attribution per workload (large inputs)."""
     report = Fig2Report()
     for name in workloads:
-        report.rows.append(_characterize(name))
+        report.rows.append(_characterize(name, ops=ops))
     return report
 
 
-def run_fig2b_scaling(workloads=("rocksdb", "redis", "filebench")) -> Fig2Report:
+def run_fig2b_scaling(
+    workloads=("rocksdb", "redis", "filebench"), *, ops: Optional[int] = None
+) -> Fig2Report:
     """Fig 2b: the kernel share persists when inputs shrink 4x."""
     report = Fig2Report()
     for name in workloads:
-        large = _characterize(name)
-        small = _characterize(name, dataset_bytes=10 * GB)
+        large = _characterize(name, ops=ops)
+        small = _characterize(name, dataset_bytes=10 * GB, ops=ops)
         report.scaling[name] = {
             "large": large.footprint.kernel_fraction(),
             "small": small.footprint.kernel_fraction(),
@@ -160,12 +157,16 @@ def run_fig2b_scaling(workloads=("rocksdb", "redis", "filebench")) -> Fig2Report
     return report
 
 
-def run_fig2c_references(workloads=tuple(WORKLOADS)) -> Fig2Report:
+def run_fig2c_references(
+    workloads=tuple(WORKLOADS), *, ops: Optional[int] = None
+) -> Fig2Report:
     """Fig 2c: reference attribution (same runs as 2a, separate entry
-    point so the bench table matches the paper's figure list)."""
-    return run_fig2a_footprint(workloads)
+    point so the registry matches the paper's figure list)."""
+    return run_fig2a_footprint(workloads, ops=ops)
 
 
-def run_fig2d_lifetimes(workloads=("rocksdb", "redis")) -> Fig2Report:
+def run_fig2d_lifetimes(
+    workloads=("rocksdb", "redis"), *, ops: Optional[int] = None
+) -> Fig2Report:
     """Fig 2d: lifetime ordering — slab < page cache < application."""
-    return run_fig2a_footprint(workloads)
+    return run_fig2a_footprint(workloads, ops=ops)

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.cache import optane_spec, two_tier_spec
 from repro.experiments.defaults import ops_for
 from repro.experiments.parallel import run_specs
-from repro.experiments.runner import TwoTierRun, run_optane_interference
+from repro.experiments.runner import TwoTierRun
 from repro.kloc.registry import KlocRegistry
 from repro.metrics.report import format_table
 
@@ -36,11 +36,6 @@ class Fig5aReport:
             rows,
             title="Fig 5a — Optane Memory Mode speedup vs all-remote",
         )
-
-
-#: Retained alias: the measurement body now lives in the shared runner so
-#: the parallel engine can dispatch it (see ``run_optane_interference``).
-_optane_throughput = run_optane_interference
 
 
 def run_fig5a_optane(

@@ -9,8 +9,8 @@ The simulator models a THP as a *compound group*: 512 consecutive 4KB
 frames sharing a ``compound_id``. Groups age and migrate as units —
 which buys one remap (page-table update + TLB shootdown) per 2MB instead
 of per 4KB, and costs the classic THP downside: one hot member keeps the
-whole 2MB hot. `benchmarks/bench_ablation_thp.py` tests the paper's
-hypothesis.
+whole 2MB hot. ``TestTHPHypothesis`` in tests/mem/test_thp.py tests the
+paper's hypothesis.
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ class KlocsFineGrainedPolicy(KlocsPolicy):
     the inode-granularity *migration* short-circuits: kernel pages move
     only via the page-granularity LRU, individually. Comparing it against
     :class:`KlocsPolicy` quantifies what the en-masse knode sweeps buy
-    (see benchmarks/bench_ablation_granularity.py).
+    (see ``TestGranularityAblation`` in tests/policies/test_policies.py).
     """
 
     name = "klocs_fine"

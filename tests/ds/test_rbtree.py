@@ -138,3 +138,44 @@ class TestInvariants:
                 shadow.pop(key, None)
         tree.check_invariants()
         assert dict(tree.items()) == shadow
+
+
+class TestSplitTreeAblation:
+    """§4.2.3: "using a single red-black tree to record millions of kernel
+    objects can be prohibitively expensive; empirically, as many as ten
+    memory references are needed on average for tree traversal."
+    Splitting a knode's index into rbtree-cache and rbtree-slab shortens
+    both trees."""
+
+    OBJECTS = 60_000
+    CACHE_SHARE = 0.7  # page-backed vs slab object mix of a big file set
+
+    def _single_tree_hops(self):
+        tree = RedBlackTree()
+        for oid in range(self.OBJECTS):
+            tree.insert(oid, oid)
+        tree.searches = tree.search_hops = 0
+        for oid in range(0, self.OBJECTS, 7):
+            tree.get(oid)
+        return tree.mean_search_hops()
+
+    def _split_tree_hops(self):
+        cache, slab = RedBlackTree(), RedBlackTree()
+        split = int(self.OBJECTS * self.CACHE_SHARE)
+        for oid in range(split):
+            cache.insert(oid, oid)
+        for oid in range(split, self.OBJECTS):
+            slab.insert(oid, oid)
+        cache.searches = cache.search_hops = 0
+        slab.searches = slab.search_hops = 0
+        for oid in range(0, self.OBJECTS, 7):
+            (cache if oid < split else slab).get(oid)
+        total_hops = cache.search_hops + slab.search_hops
+        return total_hops / (cache.searches + slab.searches)
+
+    def test_split_tree_reduces_traversal(self):
+        single = self._single_tree_hops()
+        split = self._split_tree_hops()
+        # The paper's ~10-references pain point for a single big tree:
+        assert single >= 10
+        assert split < single

@@ -1,4 +1,4 @@
-"""Tests for experiment defaults and environment switches."""
+"""Tests for experiment defaults and the seed switch."""
 
 import pytest
 
@@ -13,17 +13,6 @@ class TestOpsFor:
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
             defaults.ops_for("postgres")
-
-    def test_quick_mode_shrinks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUICK", "1")
-        assert defaults.ops_for("rocksdb") == max(
-            500, int(defaults.DEFAULT_OPS["rocksdb"] * 0.25)
-        )
-
-    def test_full_mode_grows(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUICK", raising=False)
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert defaults.ops_for("rocksdb") == defaults.DEFAULT_OPS["rocksdb"] * 2
 
     def test_seed_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEED", "7")

@@ -1,7 +1,9 @@
 """Tests for the experiment harness, run at tiny op budgets.
 
 These validate the machinery (runners produce well-formed reports and
-plausible invariants); the paper-shape assertions live in benchmarks/.
+plausible invariants); the paper's claims live in
+repro.analysis.expectations and are checked at default ops by
+``python -m repro.experiments <id> --verdict``.
 """
 
 import pytest

@@ -4,9 +4,10 @@ import pytest
 
 from repro.analysis.expectations import PAPER_EXPECTATIONS, Band
 from repro.analysis.results import load_results, save_results
-from repro.analysis.verdict import Verdict, check_fig4
+from repro.analysis.verdict import Verdict, check
 from repro.experiments.fig4 import Fig4Report
 from repro.metrics.chart import bar_chart, grouped_bar_chart, sparkline
+from tests.analysis.measured import measured_report
 
 
 class TestBand:
@@ -15,42 +16,31 @@ class TestBand:
         assert band.contains(1.0) and band.contains(2.0)
         assert not band.contains(0.99)
 
+    def test_strict_ends(self):
+        band = Band(1.0, 2.0, open_lo=True)
+        assert not band.contains(1.0) and band.contains(2.0)
+        assert not Band(1.0, 2.0, open_hi=True).contains(2.0)
+
     def test_expectations_are_well_formed(self):
-        for (exp, metric), band in PAPER_EXPECTATIONS.items():
-            assert band.lo < band.hi, (exp, metric)
+        for (exp, metric), claim in PAPER_EXPECTATIONS.items():
+            band = claim.band
+            assert band.lo <= band.hi, (exp, metric)
             if band.paper_value is not None:
                 assert band.source, (exp, metric)
+                assert band.contains(band.paper_value), (exp, metric)
 
 
 class TestVerdict:
-    def _fig4(self, klocs=2.0, naive=1.3, nimble=1.5, nomig=1.6, nimblepp=1.7):
-        return Fig4Report(
-            speedups={
-                "rocksdb": {
-                    "klocs": klocs, "naive": naive, "nimble": nimble,
-                    "klocs_nomigration": nomig, "nimble++": nimblepp,
-                    "all_slow": 1.0,
-                },
-                "redis": {
-                    "klocs": klocs, "naive": naive, "nimble": nimble,
-                    "klocs_nomigration": nomig, "nimble++": nimblepp,
-                    "all_slow": 1.0,
-                },
-                "cassandra": {
-                    "klocs": klocs, "naive": naive, "nimble": nimble,
-                    "klocs_nomigration": nomig, "nimble++": nimblepp * 1.2,
-                    "all_slow": 1.0,
-                },
-            }
-        )
-
     def test_passing_report(self):
-        verdict = check_fig4(self._fig4())
+        verdict = check("fig4", measured_report("fig4"))
         assert verdict.ok
         assert "PASS" in verdict.format_report()
 
     def test_failing_report_flagged(self):
-        verdict = check_fig4(self._fig4(klocs=1.0))  # klocs == naive-ish
+        report = measured_report("fig4")
+        for speedups in report.speedups.values():
+            speedups["klocs"] = speedups["naive"]  # klocs == naive
+        verdict = check("fig4", report)
         assert not verdict.ok
         assert "MISS" in verdict.format_report()
 

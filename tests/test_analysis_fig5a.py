@@ -1,43 +1,36 @@
-"""Tests for the Fig 5a verdict checker (completing analysis coverage)."""
+"""Tests for the Fig 5a claims (completing analysis coverage)."""
 
-import pytest
-
-from repro.analysis.verdict import check_fig5a
-from repro.experiments.fig5 import Fig5aReport
+from repro.analysis.verdict import check
+from tests.analysis.measured import measured_report
 
 
-def report(all_local=1.6, klocs=1.5, autonuma=1.2, nimble=1.3):
-    return Fig5aReport(
-        speedups={
-            "rocksdb": {
-                "all_remote": 1.0,
-                "all_local": all_local,
-                "klocs": klocs,
-                "autonuma": autonuma,
-                "nimble": nimble,
-            }
-        }
-    )
+def report(**rocksdb):
+    """The measured Fig 5a report, with some rocksdb speedups replaced."""
+    r = measured_report("fig5a")
+    r.speedups["rocksdb"].update(rocksdb)
+    return r
 
 
 class TestFig5aVerdict:
     def test_paper_like_numbers_pass(self):
-        verdict = check_fig5a(report())
+        verdict = check("fig5a", report())
         assert verdict.ok, verdict.format_report()
-        assert len(verdict.checks) == 3
+        assert len(verdict.checks) == 14
 
     def test_klocs_no_better_than_autonuma_fails(self):
-        verdict = check_fig5a(report(klocs=1.2))
+        verdict = check("fig5a", report(klocs=2.0))
         assert not verdict.ok
         misses = [c for c in verdict.checks if not c.ok]
-        assert any("klocs_over_autonuma" == c.metric for c in misses)
+        assert any("rocksdb/klocs_over_autonuma" == c.metric for c in misses)
 
     def test_absurd_ideal_flagged(self):
-        verdict = check_fig5a(report(all_local=6.0))
+        verdict = check("fig5a", report(all_local=6.0))
         assert not verdict.ok
 
     def test_multiple_workloads_all_checked(self):
         r = report()
-        r.speedups["redis"] = dict(r.speedups["rocksdb"])
-        verdict = check_fig5a(r)
-        assert len(verdict.checks) == 6
+        del r.speedups["redis"]
+        verdict = check("fig5a", r)
+        assert len(verdict.checks) == 14
+        misses = {c.metric for c in verdict.checks if not c.ok}
+        assert misses == {c.metric for c in verdict.checks if "redis/" in c.metric}

@@ -1,6 +1,6 @@
 """Whole-system integration tests: the public API, end to end.
 
-Small versions of what the benchmarks do at scale, so `pytest tests/`
+Small versions of what the experiments do at scale, so `pytest tests/`
 alone demonstrates every moving part working together.
 """
 

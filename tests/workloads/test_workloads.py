@@ -175,7 +175,7 @@ class TestReferenceCalibration:
     def test_filebench_most_kernel_intensive(self):
         """Fig 2c's extreme: Filebench is overwhelmingly in-kernel; the
         cache-heavy JVM workload is the least. (The full RocksDB/Redis
-        bands are asserted at experiment scale in the fig2 benchmark —
+        bands are checked at experiment scale by ``fig2c --verdict`` —
         tiny unit-test datasets compress the middle of the ordering.)"""
         fractions = {}
         for name in ("filebench", "cassandra"):
