@@ -81,7 +81,7 @@ class PageAllocator:
     def free_frames(self, frames: Sequence[PageFrame]) -> None:
         now = self.clock.now()
         for frame in frames:
-            self.topology.free(frame, now_ns=now)
+            self.topology.free(frame, now)
         self.stats.pages_returned += len(frames)
 
     # ------------------------------------------------------------------
@@ -93,39 +93,25 @@ class PageAllocator:
         self,
         otype: KernelObjectType,
         tier_order: Sequence[str],
-        *,
         knode_id: Optional[int] = None,
         node_id: int = 0,
     ) -> KernelObject:
         """Allocate one page-backed kernel object owning its frame."""
         now = self.clock.now()
         (frame,) = self.topology.allocate(
-            1,
-            tier_order,
-            otype.owner,
-            obj_type=otype.name,
-            knode_id=knode_id,
-            node_id=node_id,
-            relocatable=True,
-            now_ns=now,
+            1, tier_order, otype.owner, otype.name, knode_id, True, now, node_id
         )
-        self.stats.pages_grabbed += 1
-        self.stats.allocs += 1
+        stats = self.stats
+        stats.pages_grabbed += 1
+        stats.allocs += 1
         oid = self._next_oid
-        self._next_oid += 1
-        self.stats.cpu_cost_ns += _PAGE_COST
+        self._next_oid = oid + 1
+        stats.cpu_cost_ns += _PAGE_COST
         self.clock.advance(_PAGE_COST)
-        return KernelObject(
-            oid=oid,
-            otype=otype,
-            knode_id=knode_id,
-            frame=frame,
-            allocator=self.family,
-            allocated_at=now,
-        )
+        return KernelObject(oid, otype, knode_id, frame, "page", now)
 
     @hot
-    def free_object(self, obj: KernelObject, *, now_ns: Optional[int] = None) -> int:
+    def free_object(self, obj: KernelObject, now_ns: Optional[int] = None) -> int:
         """Free one page-backed object. ``now_ns`` defers the clock work
         to the caller (batched charge windows): the free executes at that
         virtual time and the constant CPU cost is returned without
@@ -133,20 +119,20 @@ class PageAllocator:
         san = self._san
         if san is not None:
             san.on_object_free(obj, self.family, site=call_site(2))
-        if not obj.live:
+        if obj.freed_at is not None:
             raise SimulationError(f"double free of {obj!r}")
         now = self.clock.now() if now_ns is None else now_ns
         obj.freed_at = now
-        self.topology.free(obj.frame, now_ns=now)
-        self.stats.frees += 1
-        self.stats.pages_returned += 1
-        self.stats.lifetimes.record(obj.otype, obj.lifetime_ns(now))
+        self.topology.free(obj.frame, now)
+        stats = self.stats
+        stats.frees += 1
+        stats.pages_returned += 1
+        stats.lifetimes.record(obj.otype, now - obj.allocated_at)
         if san is not None:
             san.poison_object(obj)
-        cost = _PAGE_FREE_COST
         if now_ns is None:
-            self.clock.advance(cost)
-        return cost
+            self.clock.advance(_PAGE_FREE_COST)
+        return _PAGE_FREE_COST
 
     def __repr__(self) -> str:
         live = self.stats.pages_grabbed - self.stats.pages_returned

@@ -55,13 +55,6 @@ class _KlocPage:
         #: bookkeeping must use this original key, not the object's.
         self.knode_key = knode_key
 
-    def fits(self, nbytes: int) -> bool:
-        return self.used_bytes + nbytes <= PAGE_SIZE
-
-    @property
-    def empty(self) -> bool:
-        return not self.live
-
 
 class KlocAllocator:
     """Slab-speed, relocatable, knode-grouped kernel object allocator."""
@@ -92,22 +85,17 @@ class KlocAllocator:
         self,
         otype: KernelObjectType,
         tier_order: Sequence[str],
-        *,
         knode_id: Optional[int] = None,
     ) -> KernelObject:
         """Allocate one object on a page shared only with ``knode_id``."""
         now = self.clock.now()
-        size = min(otype.size_bytes, PAGE_SIZE)
+        size = otype.size_bytes
+        if size > PAGE_SIZE:
+            size = PAGE_SIZE
         page = self._partial.get(knode_id)
-        if page is None or not page.fits(size):
+        if page is None or page.used_bytes + size > PAGE_SIZE:
             (frame,) = self.topology.allocate(
-                1,
-                tier_order,
-                otype.owner,
-                obj_type=otype.name,
-                knode_id=knode_id,
-                relocatable=True,
-                now_ns=now,
+                1, tier_order, otype.owner, otype.name, knode_id, True, now
             )
             page = _KlocPage(frame, knode_id)
             self._partial[knode_id] = page
@@ -115,33 +103,27 @@ class KlocAllocator:
             self.stats.pages_grabbed += 1
 
         oid = self._next_oid
-        self._next_oid += 1
+        self._next_oid = oid + 1
         page.live.add(oid)
         page.used_bytes += size
         self._page_of[oid] = page
         self._size_of[oid] = size
 
-        self.stats.allocs += 1
-        self.stats.cpu_cost_ns += _KLOC_COST
+        stats = self.stats
+        stats.allocs += 1
+        stats.cpu_cost_ns += _KLOC_COST
         self.clock.advance(_KLOC_COST)
-        return KernelObject(
-            oid=oid,
-            otype=otype,
-            knode_id=knode_id,
-            frame=page.frame,
-            allocator=self.family,
-            allocated_at=now,
-        )
+        return KernelObject(oid, otype, knode_id, page.frame, "kloc", now)
 
     @hot
-    def free(self, obj: KernelObject, *, now_ns: Optional[int] = None) -> int:
+    def free(self, obj: KernelObject, now_ns: Optional[int] = None) -> int:
         """Free one object. ``now_ns`` defers the clock work to the caller
         (batched charge windows): the free executes at that virtual time
         and the constant CPU cost is returned without advancing."""
         san = self._san
         if san is not None:
             san.on_object_free(obj, self.family, site=call_site(2))
-        if not obj.live:
+        if obj.freed_at is not None:
             raise SimulationError(f"double free of {obj!r}")
         page = self._page_of.pop(obj.oid, None)
         if page is None:
@@ -151,28 +133,29 @@ class KlocAllocator:
         page.live.discard(obj.oid)
         page.used_bytes -= self._size_of.pop(obj.oid, 0)
 
-        if page.empty:
+        stats = self.stats
+        if not page.live:
             # Clean up under the page's *allocation* key — the object's
             # knode_id may have been rewritten by adoption (§4.2.3's
             # driver-buffer reassociation).
-            if self._partial.get(page.knode_key) is page:
-                del self._partial[page.knode_key]
-            pages = self._knode_pages.get(page.knode_key)
+            key = page.knode_key
+            if self._partial.get(key) is page:
+                del self._partial[key]
+            pages = self._knode_pages.get(key)
             if pages is not None:
                 pages.pop(page, None)
                 if not pages:
-                    del self._knode_pages[page.knode_key]
-            self.topology.free(page.frame, now_ns=now)
-            self.stats.pages_returned += 1
+                    del self._knode_pages[key]
+            self.topology.free(page.frame, now)
+            stats.pages_returned += 1
 
-        self.stats.frees += 1
-        self.stats.lifetimes.record(obj.otype, obj.lifetime_ns(now))
+        stats.frees += 1
+        stats.lifetimes.record(obj.otype, now - obj.allocated_at)
         if san is not None:
             san.poison_object(obj)
-        cost = _KLOC_FREE_COST
         if now_ns is None:
-            self.clock.advance(cost)
-        return cost
+            self.clock.advance(_KLOC_FREE_COST)
+        return _KLOC_FREE_COST
 
     def knode_frames(self, knode_id: Optional[int]) -> List[PageFrame]:
         """Live backing pages of one knode's small objects — the unit the

@@ -42,14 +42,6 @@ class _SlabPage:
         self.capacity = capacity
         self.live: Set[int] = set()  # object ids resident on this page
 
-    @property
-    def full(self) -> bool:
-        return len(self.live) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self.live
-
 
 class _KmemCache:
     """Per-object-type cache: partial and full slab page lists."""
@@ -89,7 +81,6 @@ class SlabAllocator:
         self,
         otype: KernelObjectType,
         tier_order: Sequence[str],
-        *,
         knode_id: Optional[int] = None,
     ) -> KernelObject:
         """Allocate one object; grabs a fresh slab page on demand.
@@ -98,46 +89,38 @@ class SlabAllocator:
         placed into an existing partial page inherit that page's tier —
         exactly the aliasing that defeats per-object placement for slabs.
         """
-        cache = self._cache(otype)
+        cache = self._caches.get(otype)
+        if cache is None:
+            cache = self._cache(otype)
         now = self.clock.now()
-        if cache.partial:
-            page = cache.partial[-1]
+        partial = cache.partial
+        if partial:
+            page = partial[-1]
         else:
             (frame,) = self.topology.allocate(
-                1,
-                tier_order,
-                otype.owner,
-                obj_type=otype.name,
-                knode_id=knode_id,
-                relocatable=False,
-                now_ns=now,
+                1, tier_order, otype.owner, otype.name, knode_id, False, now
             )
             page = _SlabPage(frame, cache.objs_per_page)
-            cache.partial.append(page)
+            partial.append(page)
             self.stats.pages_grabbed += 1
 
         oid = self._next_oid
-        self._next_oid += 1
-        page.live.add(oid)
+        self._next_oid = oid + 1
+        live = page.live
+        live.add(oid)
         self._page_of[oid] = page
-        if page.full:
-            cache.partial.remove(page)
+        if len(live) >= page.capacity:
+            partial.remove(page)
             cache.full.append(page)
 
-        self.stats.allocs += 1
-        self.stats.cpu_cost_ns += _SLAB_COST
+        stats = self.stats
+        stats.allocs += 1
+        stats.cpu_cost_ns += _SLAB_COST
         self.clock.advance(_SLAB_COST)
-        return KernelObject(
-            oid=oid,
-            otype=otype,
-            knode_id=knode_id,
-            frame=page.frame,
-            allocator=self.family,
-            allocated_at=now,
-        )
+        return KernelObject(oid, otype, knode_id, page.frame, "slab", now)
 
     @hot
-    def free(self, obj: KernelObject, *, now_ns: Optional[int] = None) -> int:
+    def free(self, obj: KernelObject, now_ns: Optional[int] = None) -> int:
         """Release an object; empty slab pages return to the page pool.
 
         ``now_ns`` defers the clock work to the caller: the free executes
@@ -148,32 +131,33 @@ class SlabAllocator:
         san = self._san
         if san is not None:
             san.on_object_free(obj, self.family, site=call_site(2))
-        if not obj.live:
+        if obj.freed_at is not None:
             raise SimulationError(f"double free of {obj!r}")
         page = self._page_of.pop(obj.oid, None)
         if page is None:
             raise SimulationError(f"{obj!r} was not allocated here")
         now = self.clock.now() if now_ns is None else now_ns
         obj.freed_at = now
-        page.live.discard(obj.oid)
-
-        cache = self._cache(obj.otype)
-        if page in cache.full:
+        live = page.live
+        cache = self._caches[obj.otype]
+        # A page sits on the full list exactly while every slot is taken.
+        if len(live) >= page.capacity:
             cache.full.remove(page)
             cache.partial.append(page)
-        if page.empty and page in cache.partial:
+        live.discard(obj.oid)
+        stats = self.stats
+        if not live:
             cache.partial.remove(page)
-            self.topology.free(page.frame, now_ns=now)
-            self.stats.pages_returned += 1
+            self.topology.free(page.frame, now)
+            stats.pages_returned += 1
 
-        self.stats.frees += 1
-        self.stats.lifetimes.record(obj.otype, obj.lifetime_ns(now))
+        stats.frees += 1
+        stats.lifetimes.record(obj.otype, now - obj.allocated_at)
         if san is not None:
             san.poison_object(obj)
-        cost = _SLAB_FREE_COST
         if now_ns is None:
-            self.clock.advance(cost)
-        return cost
+            self.clock.advance(_SLAB_FREE_COST)
+        return _SLAB_FREE_COST
 
     def live_pages(self) -> int:
         return self.stats.pages_grabbed - self.stats.pages_returned

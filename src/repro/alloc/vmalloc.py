@@ -94,7 +94,7 @@ class VmallocAllocator:
         area.freed_at = now
         del self._areas[area.area_id]
         for frame in area.frames:
-            self.topology.free(frame, now_ns=now)
+            self.topology.free(frame, now)
         self.stats.frees += 1
         self.stats.pages_returned += area.npages
         self.clock.advance(ALLOC_COSTS["vmalloc"] * area.npages // 4)

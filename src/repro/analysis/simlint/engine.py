@@ -117,6 +117,10 @@ class Rule:
     def check(self, src: SourceFile) -> Iterator[Violation]:
         raise NotImplementedError
 
+    def check_all(self, sources: Sequence[SourceFile]) -> Iterator[Violation]:
+        """Findings that need every linted file at once (none by default)."""
+        return iter(())
+
     def violation(self, src: SourceFile, node: ast.AST, message: str) -> Violation:
         return Violation(
             path=src.path,
@@ -139,18 +143,26 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a python file or directory: {raw}")
 
 
+def _lint(sources: Sequence[SourceFile], rules: Sequence[Rule]) -> List[Violation]:
+    by_path = {src.path: src for src in sources}
+    out: List[Violation] = []
+    for rule in rules:
+        found: List[Violation] = []
+        for src in sources:
+            found.extend(rule.check(src))
+        found.extend(rule.check_all(sources))
+        for violation in found:
+            if not by_path[violation.path].is_suppressed(rule.id, violation.line):
+                out.append(violation)
+    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return out
+
+
 def lint_source(
     text: str, *, path: str = "<string>", rules: Sequence[Rule]
 ) -> List[Violation]:
     """Lint one source string; returns suppression-filtered violations."""
-    src = SourceFile(path, text)
-    out: List[Violation] = []
-    for rule in rules:
-        for violation in rule.check(src):
-            if not src.is_suppressed(rule.id, violation.line):
-                out.append(violation)
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return out
+    return _lint([SourceFile(path, text)], rules)
 
 
 def lint_paths(
@@ -162,11 +174,11 @@ def lint_paths(
         from repro.analysis.simlint.rules import DEFAULT_RULES
 
         rules = DEFAULT_RULES
-    out: List[Violation] = []
-    for path in iter_python_files(paths):
-        text = path.read_text(encoding="utf-8")
-        out.extend(lint_source(text, path=str(path), rules=rules))
-    return out
+    sources = [
+        SourceFile(str(path), path.read_text(encoding="utf-8"))
+        for path in iter_python_files(paths)
+    ]
+    return _lint(sources, rules)
 
 
 def format_report(violations: Iterable[Violation]) -> str:

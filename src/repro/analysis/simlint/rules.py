@@ -22,7 +22,8 @@ examples and rationale):
     allocation-free: no closures/lambdas/comprehensions, no recursion,
     and every callee on :data:`repro.core.hotpath.HOT_CALLEE_WHITELIST`
     (calls inside ``raise`` statements are exempt — error paths are
-    cold by definition).
+    cold by definition). When the lint covers ``repro.core.hotpath``,
+    every whitelist entry must be called by some ``@hot`` function.
 ``counter-balance``
     incrementally maintained counters must balance: paired monotonic
     counters (created/deleted, allocs/frees) both move in any module
@@ -384,6 +385,41 @@ class EnvKnobRule(Rule):
 # ---------------------------------------------------------------------------
 
 
+#: The module that declares ``HOT_CALLEE_WHITELIST``.
+WHITELIST_MODULE = "repro.core.hotpath"
+
+
+def _raise_subtrees(fn: ast.FunctionDef) -> Set[ast.AST]:
+    """Every node under a ``raise`` statement in ``fn``."""
+    in_raise: Set[ast.AST] = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Raise):
+            in_raise.update(ast.walk(node))
+    return in_raise
+
+
+def _whitelist_entries(tree: ast.Module) -> List[ast.Constant]:
+    """The string literals of the ``HOT_CALLEE_WHITELIST`` set display."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target: ast.expr = node.targets[0]
+        elif isinstance(node, ast.AnnAssign):
+            target = node.target
+        else:
+            continue
+        if (
+            isinstance(target, ast.Name)
+            and target.id == "HOT_CALLEE_WHITELIST"
+            and isinstance(node.value, ast.Set)
+        ):
+            return [
+                elt
+                for elt in node.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            ]
+    return []
+
+
 class HotPathRule(Rule):
     """``@hot`` functions stay allocation-free and whitelist-bound."""
 
@@ -409,20 +445,48 @@ class HotPathRule(Rule):
                 return True
         return False
 
-    def check(self, src: SourceFile) -> Iterator[Violation]:
+    def _hot_functions(self, src: SourceFile) -> Iterator[ast.FunctionDef]:
         for node in ast.walk(src.tree):
             if isinstance(node, ast.FunctionDef) and self._is_hot(node):
-                yield from self._check_function(src, node)
+                yield node
+
+    def check(self, src: SourceFile) -> Iterator[Violation]:
+        for fn in self._hot_functions(src):
+            yield from self._check_function(src, fn)
+
+    def check_all(self, sources: Sequence[SourceFile]) -> Iterator[Violation]:
+        """Report whitelist entries that no linted ``@hot`` function calls
+        outside a ``raise``: a stale entry silently admits a call onto
+        the hot path. Runs only when the lint covers the module that
+        declares the whitelist."""
+        home = [src for src in sources if src.module_name == WHITELIST_MODULE]
+        if not home:
+            return
+        called: Set[str] = set()
+        for src in sources:
+            for fn in self._hot_functions(src):
+                in_raise = _raise_subtrees(fn)
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and node not in in_raise:
+                        if isinstance(node.func, ast.Name):
+                            called.add(node.func.id)
+                        elif isinstance(node.func, ast.Attribute):
+                            called.add(node.func.attr)
+        for entry in _whitelist_entries(home[0].tree):
+            if entry.value not in called:
+                yield self.violation(
+                    home[0],
+                    entry,
+                    f"HOT_CALLEE_WHITELIST entry {entry.value!r} is called "
+                    f"by no @hot function — remove it",
+                )
 
     def _check_function(
         self, src: SourceFile, fn: ast.FunctionDef
     ) -> Iterator[Violation]:
         # Calls under a ``raise`` build the error being thrown — the path
         # is cold by definition, so exempt the whole subtree.
-        in_raise: Set[ast.AST] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Raise):
-                in_raise.update(ast.walk(node))
+        in_raise = _raise_subtrees(fn)
 
         for node in ast.walk(fn):
             if node is fn:

@@ -24,7 +24,8 @@ class Clock:
     elapsed whenever time advances past its next deadline.
     """
 
-    #: Sentinel deadline meaning "no periodic work registered".
+    #: Sentinel deadline: no periodic work registered, or a daemon is
+    #: firing right now.
     _NEVER = float("inf")
 
     def __init__(self, start_ns: int = 0) -> None:
@@ -34,6 +35,7 @@ class Clock:
         # (next_deadline, period, callback) — small list, scanned linearly,
         # but only when the cached minimum deadline is actually due.
         self._periodic: List[Tuple[int, int, Callable[[int], None]]] = []
+        #: True while _fire_due runs the callbacks.
         self._firing = False
         # Cached min deadline across _periodic; advance() compares against
         # this instead of scanning the daemon list on every call.
@@ -56,7 +58,9 @@ class Clock:
         total cost against this to decide whether a single deferred
         advance can stand in for per-item advances: while
         ``now + total < next_deadline_ns`` no daemon can fire, so the
-        per-item and batched executions are indistinguishable.
+        per-item and batched executions are indistinguishable. It reads
+        ``inf`` while a daemon fires: nothing can fire inside a callback
+        (the firing loop picks up whatever fell due once it returns).
         """
         return self._next_deadline
 
@@ -90,16 +94,18 @@ class Clock:
             raise ValueError(f"period must be positive: {period_ns}")
         first = self._now + period_ns + phase_ns
         self._periodic.append((first, period_ns, callback))
-        if first < self._next_deadline:
+        # While firing, the loop in _fire_due sees the new daemon and the
+        # deadline is recomputed when it ends.
+        if first < self._next_deadline and not self._firing:
             self._next_deadline = first
 
     def _fire_due(self) -> None:
-        # Re-entrancy guard: a callback may advance the clock (its own work
-        # costs time); we do not re-dispatch from inside a callback, the
-        # outer dispatch loop picks up anything newly due.
-        if self._firing:
-            return
+        # A callback may advance the clock (its own work costs time); we
+        # do not re-dispatch from inside a callback. The deadline reads
+        # _NEVER meanwhile, so those nested advances take the fast path,
+        # and the loop below picks up anything newly due.
         self._firing = True
+        self._next_deadline = Clock._NEVER
         try:
             fired = True
             while fired:

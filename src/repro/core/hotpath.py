@@ -31,13 +31,13 @@ HOT_FUNCTIONS: Set[str] = set()
 #: the method calls the flattened bodies still make (other registered
 #: hot functions, O(1) container operations, and the accounting hooks).
 #: The ``simlint`` ``hotpath`` rule imports this set — extending it is
-#: the explicit act of admitting a call onto the hot path. Calls inside
-#: ``raise`` statements (error constructors) are always allowed.
+#: the explicit act of admitting a call onto the hot path — and reports
+#: entries that no ``@hot`` function calls. Calls inside ``raise``
+#: statements (error constructors) are always allowed.
 HOT_CALLEE_WHITELIST: Set[str] = {
     # builtins / constructors (bare-name calls)
     "len",
     "int",
-    "min",
     "KernelObject",
     "PageFrame",
     "_SlabPage",
@@ -56,7 +56,6 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "remove",
     "setdefault",
     "move_to_end",
-    "fits",
     # registered hot functions / same-layer accounting calls
     "_charge",
     "access_cost_ns",
@@ -70,9 +69,6 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "metadata_bytes",
     "add_obj",
     "remove_obj",
-    "touch",
-    "lifetime_ns",
-    "_tier",
     "_cache",
     "_check_cpu",
     "_drop_holder",

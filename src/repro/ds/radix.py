@@ -18,10 +18,15 @@ RADIX_SLOTS = 1 << RADIX_SHIFT
 
 
 class _RadixNode:
+    """One tree node: children by slot (interior nodes only) and the
+    number of occupied slots below it."""
+
     __slots__ = ("slots", "count", "shift", "token")
 
     def __init__(self, shift: int) -> None:
-        self.slots: Dict[int, Any] = {}
+        #: Child nodes by slot; None on leaves, whose entries live in the
+        #: tree's value map.
+        self.slots: Optional[Dict[int, "_RadixNode"]] = {} if shift else None
         self.count = 0
         self.shift = shift
         #: Opaque handle the owner attaches (e.g. the backing slab object).
@@ -31,8 +36,13 @@ class _RadixNode:
 class RadixTree:
     """Sparse index → value map with kernel-style interior nodes.
 
-    ``on_node_alloc``/``on_node_free`` fire whenever an interior node is
-    created or torn down, letting callers model node allocations.
+    Values live in one ``index → value`` dict; the nodes model the tree's
+    shape (children and occupancy counts), so node allocation and
+    teardown happen exactly as in a slot-valued radix tree.
+    ``on_node_alloc``/``on_node_free`` fire whenever a node is created or
+    torn down, letting callers model node allocations. ``lookups`` and
+    ``lookup_hops`` count the walk a slot-valued tree would make: a hit
+    visits every level, a miss stops at the first absent node.
     """
 
     def __init__(
@@ -42,7 +52,7 @@ class RadixTree:
     ) -> None:
         self._root: Optional[_RadixNode] = None
         self._height_shift = 0  # shift of the root node
-        self._size = 0
+        self._values: Dict[int, Any] = {}
         self._on_alloc = on_node_alloc
         self._on_free = on_node_free
         self.node_count = 0
@@ -50,7 +60,7 @@ class RadixTree:
         self.lookup_hops = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._values)
 
     def _new_node(self, shift: int) -> _RadixNode:
         node = _RadixNode(shift)
@@ -72,6 +82,10 @@ class RadixTree:
             raise ValueError(f"radix index must be non-negative: {index}")
         if value is None:
             raise ValueError("radix tree cannot store None")
+        values = self._values
+        if index in values:
+            values[index] = value
+            return False
         self._maybe_grow(index)
         if self._root is None:
             self._root = self._new_node(self._height_shift)
@@ -84,18 +98,14 @@ class RadixTree:
                 node.slots[slot] = child
                 node.count += 1
             node = child
-        slot = index & (RADIX_SLOTS - 1)
-        fresh = slot not in node.slots
-        if fresh:
-            node.count += 1
-            self._size += 1
-        node.slots[slot] = value
-        return fresh
+        node.count += 1
+        values[index] = value
+        return True
 
     def _maybe_grow(self, index: int) -> None:
         while index >= (1 << (self._height_shift + RADIX_SHIFT)):
             old_root = self._root
-            self._height_shift += RADIX_SHIFT if old_root is not None else RADIX_SHIFT
+            self._height_shift += RADIX_SHIFT
             if old_root is not None:
                 new_root = self._new_node(old_root.shift + RADIX_SHIFT)
                 new_root.slots[0] = old_root
@@ -106,40 +116,39 @@ class RadixTree:
     def lookup(self, index: int) -> Any:
         """Return the value at ``index`` or None."""
         self.lookups += 1
+        value = self._values.get(index)
+        if value is not None:
+            self.lookup_hops += self._height_shift // RADIX_SHIFT + 1
+            return value
         node = self._root
         if node is None or index >= (1 << (self._height_shift + RADIX_SHIFT)):
             return None
-        while node is not None and node.shift > 0:
-            self.lookup_hops += 1
+        hops = 1
+        while node.shift > 0:
             node = node.slots.get((index >> node.shift) & (RADIX_SLOTS - 1))
-        if node is None:
-            return None
-        self.lookup_hops += 1
-        return node.slots.get(index & (RADIX_SLOTS - 1))
+            if node is None:
+                break
+            hops += 1
+        self.lookup_hops += hops
+        return None
 
     def delete(self, index: int) -> Any:
         """Remove and return the value at ``index`` (None if absent).
 
-        Empty interior nodes are freed on the way back up — the churn §3.3
+        Empty nodes are freed on the way back up — the churn §3.3
         attributes radix-node slab traffic to.
         """
+        values = self._values
+        if index not in values:
+            return None
         path: List[Tuple[_RadixNode, int]] = []
         node = self._root
-        if node is None or index >= (1 << (self._height_shift + RADIX_SHIFT)):
-            return None
         while node.shift > 0:
             slot = (index >> node.shift) & (RADIX_SLOTS - 1)
-            child = node.slots.get(slot)
-            if child is None:
-                return None
             path.append((node, slot))
-            node = child
-        slot = index & (RADIX_SLOTS - 1)
-        if slot not in node.slots:
-            return None
-        value = node.slots.pop(slot)
+            node = node.slots[slot]
+        value = values.pop(index)
         node.count -= 1
-        self._size -= 1
         # Prune empty nodes bottom-up.
         child = node
         for parent, pslot in reversed(path):
@@ -156,29 +165,11 @@ class RadixTree:
         return value
 
     def items(self) -> Iterator[Tuple[int, Any]]:
-        """Iterate (index, value) pairs in index order.
-
-        One flat generator with an explicit stack — the recursive
-        ``yield from`` formulation resumes depth-many generators per
-        yielded value.
-        """
-        root = self._root
-        if root is None:
-            return
-        stack = [(root, 0)]
-        while stack:
-            node, prefix = stack.pop()
-            slots = node.slots
-            if node.shift > 0:
-                shift = node.shift
-                for slot in sorted(slots, reverse=True):
-                    stack.append((slots[slot], prefix | (slot << shift)))
-            else:
-                for slot in sorted(slots):
-                    yield prefix | slot, slots[slot]
+        """Iterate (index, value) pairs in index order."""
+        yield from sorted(self._values.items())
 
     def mean_lookup_hops(self) -> float:
         return self.lookup_hops / self.lookups if self.lookups else 0.0
 
     def __repr__(self) -> str:
-        return f"RadixTree(size={self._size}, nodes={self.node_count})"
+        return f"RadixTree(size={len(self._values)}, nodes={self.node_count})"

@@ -134,6 +134,31 @@ class Kernel:
             if self.kloc_manager is not None
             else frozenset()
         )
+        #: Allocator routing, built once: ``_alloc_route[covered][otype]``
+        #: is the entry point for one allocation and ``_free_route`` maps
+        #: ``obj.allocator`` to its free. Covered slab types go to the
+        #: KLOC interface when the policy redirects them (§4.4:
+        #: relocatable, knode-grouped pages).
+        slab_alloc = self.slab.alloc
+        redirected = (
+            self.kloc_alloc.alloc if policy.uses_kloc_interface else slab_alloc
+        )
+        page_alloc = self.page_alloc.alloc_object
+        self._alloc_route = (
+            {
+                t: slab_alloc if t.allocator is AllocatorKind.SLAB else page_alloc
+                for t in KernelObjectType
+            },
+            {
+                t: redirected if t.allocator is AllocatorKind.SLAB else page_alloc
+                for t in KernelObjectType
+            },
+        )
+        self._free_route = {
+            "slab": self.slab.free,
+            "kloc": self.kloc_alloc.free,
+            "page": self.page_alloc.free_object,
+        }
         #: Bound hotness hook for the flat reference path (None when the
         #: policy runs without KLOC tracking).
         self._note_access = (
@@ -190,22 +215,13 @@ class Kernel:
             otype, inode, covered=covered, cpu=cpu
         )
         knode_id = inode.knode_id if (inode is not None and covered) else None
-
-        # Allocator routing, inlined:
-        if otype.allocator is AllocatorKind.SLAB:
-            if covered and self.policy.uses_kloc_interface:
-                # §4.4: redirected sites get relocatable, knode-grouped pages.
-                allocator = self.kloc_alloc.alloc
-            else:
-                allocator = self.slab.alloc
-        else:
-            allocator = self.page_alloc.alloc_object
+        allocator = self._alloc_route[covered][otype]
         try:
-            obj = allocator(otype, tier_order, knode_id=knode_id)
+            obj = allocator(otype, tier_order, knode_id)
         except AllocationError:
             # Memory pressure: shrink the page cache, then retry once.
             self._emergency_reclaim(cpu=cpu)
-            obj = allocator(otype, tier_order, knode_id=knode_id)
+            obj = allocator(otype, tier_order, knode_id)
 
         if self.numa_mode:
             self._fix_node_id(obj.frame)
@@ -224,41 +240,24 @@ class Kernel:
 
     def free_object(
         self, obj: KernelObject, *, cpu: int = 0, now_ns: Optional[int] = None
-    ) -> Optional[int]:
-        """Free a kernel object.
+    ) -> int:
+        """Free a kernel object and return the allocator's CPU cost.
 
         ``now_ns`` is the deferred-advance variant used by
         :class:`AccessBatch`: the free executes at that virtual time and
-        the allocator's (constant) CPU cost is *returned* instead of
-        advanced — the batch owns the coalesced advance. Plain calls
-        (``now_ns=None``) advance inside the allocator.
+        the allocator's (constant) CPU cost is only *returned* — the batch
+        owns the coalesced advance. Plain calls (``now_ns=None``) advance
+        inside the allocator. The batch is never handed out while a
+        tracer is attached, so only plain calls emit the free event.
         """
-        if now_ns is None:
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.clock.now(),
-                    "free",
-                    obj.otype.name,
-                    lifetime_ns=obj.lifetime_ns(self.clock.now()),
-                )
-            if self.kloc_manager is not None and obj.knode_id is not None:
-                self.kloc_manager.remove_object(obj, cpu=cpu)
-            if obj.allocator == "slab":
-                self.slab.free(obj)
-            elif obj.allocator == "kloc":
-                self.kloc_alloc.free(obj)
-            else:
-                self.page_alloc.free_object(obj)
-            return None
-        # Deferred variant: only reachable from AccessBatch, which is never
-        # handed out while a tracer is attached.
+        if now_ns is None and self.tracer is not None:
+            now = self.clock.now()
+            self.tracer.emit(
+                now, "free", obj.otype.name, lifetime_ns=obj.lifetime_ns(now)
+            )
         if self.kloc_manager is not None and obj.knode_id is not None:
             self.kloc_manager.remove_object(obj, cpu=cpu)
-        if obj.allocator == "slab":
-            return self.slab.free(obj, now_ns=now_ns)
-        if obj.allocator == "kloc":
-            return self.kloc_alloc.free(obj, now_ns=now_ns)
-        return self.page_alloc.free_object(obj, now_ns=now_ns)
+        return self._free_route[obj.allocator](obj, now_ns)
 
     # ------------------------------------------------------------------
     # KernelContext: references
@@ -551,15 +550,17 @@ class Kernel:
             self.tracer.emit(
                 self.clock.now(), "reclaim", "direct", victims=len(victims)
             )
+        cache_mgr = self.fs.cache_mgr
         for cache, page in victims:
             if page.dirty:
                 self.storage_io(
                     page.obj.size_bytes, write=True, sequential=False, background=True
                 )
                 page.clean()
-            self.fs.cache_mgr.note_remove(page)
+            cache_mgr.note_remove(page)
             cache.remove(page.index)
             self.free_object(page.obj, cpu=cpu)
+            cache_mgr.evicted += 1
 
     @property
     def refs_by_tier(self) -> Dict[tuple, int]:

@@ -80,7 +80,6 @@ class PageFrame:
         fid: int,
         tier_name: str,
         owner: PageOwner,
-        *,
         node_id: int = 0,
         obj_type: Optional[str] = None,
         knode_id: Optional[int] = None,

@@ -39,7 +39,7 @@ class MemoryTopology:
       frame counts as touched, exactly as the scan's
       ``last_access >= last_scan`` predicate sees it).
 
-    All three are updated at the three mutation points (`_make_frame`,
+    All three are updated at the three mutation points (`allocate`,
     `free`, `move_frame`) and cross-checked by :meth:`check_invariants`.
     """
 
@@ -93,77 +93,83 @@ class MemoryTopology:
     # allocation / free
     # ------------------------------------------------------------------
 
+    @hot
     def allocate(
         self,
         npages: int,
         tier_order: Sequence[str],
         owner: PageOwner,
-        *,
-        node_id: int = 0,
         obj_type: Optional[str] = None,
         knode_id: Optional[int] = None,
         relocatable: bool = True,
         now_ns: int = 0,
+        node_id: int = 0,
     ) -> List[PageFrame]:
         """Allocate ``npages`` frames, trying tiers in ``tier_order``.
 
-        A single allocation may span tiers (the first tier takes what it
-        can, the rest spills to the next), mirroring a kernel falling back
-        across zones. Raises :class:`AllocationError` if the order is
-        exhausted — the kernel layer is expected to reclaim and retry.
+        Each page goes to the first tier with a free page, so a request
+        may span tiers (the first tier takes what it can, the rest spills
+        to the next), mirroring a kernel falling back across zones.
+        Raises :class:`AllocationError` if the order is exhausted — the
+        kernel layer is expected to reclaim and retry. A multi-page
+        request checks capacity first, so a failed one changes nothing.
         """
         if npages <= 0:
             raise ValueError(f"allocation must be positive: {npages}")
-        if npages == 1:
-            # Single page (the per-object common case): first tier with a
-            # free page wins — no partial-placement machinery needed.
-            tiers = self.tiers
+        tiers = self.tiers
+        if npages > 1:
+            # Free pages per distinct tier (an order may name one twice).
+            room = {}
+            free = 0
+            for tier_name in tier_order:
+                tier = tiers.get(tier_name)
+                if tier is None:
+                    raise SimulationError(f"unknown tier: {tier_name!r}")
+                if tier_name not in room:
+                    room[tier_name] = tier.capacity_pages - tier.used_pages
+                    free += room[tier_name]
+            if free < npages:
+                raise AllocationError(
+                    f"cannot place {npages} pages (short {npages - free}) "
+                    f"in tiers {list(tier_order)}"
+                )
+        frames: List[PageFrame] = []
+        while npages:
+            npages -= 1
             for tier_name in tier_order:
                 tier = tiers.get(tier_name)
                 if tier is None:
                     raise SimulationError(f"unknown tier: {tier_name!r}")
                 if tier.used_pages < tier.capacity_pages:
-                    return [
-                        self._make_frame(
-                            tier,
-                            owner,
-                            node_id=node_id,
-                            obj_type=obj_type,
-                            knode_id=knode_id,
-                            relocatable=relocatable,
-                            now_ns=now_ns,
-                        )
-                    ]
-            raise AllocationError(
-                f"cannot place 1 page (short 1) in tiers {list(tier_order)}"
-            )
-        placed: List[PageFrame] = []
-        remaining = npages
-        for tier_name in tier_order:
-            tier = self._tier(tier_name)
-            take = min(remaining, tier.free_pages)
-            for _ in range(take):
-                placed.append(
-                    self._make_frame(
-                        tier,
-                        owner,
-                        node_id=node_id,
-                        obj_type=obj_type,
-                        knode_id=knode_id,
-                        relocatable=relocatable,
-                        now_ns=now_ns,
-                    )
+                    break
+            else:
+                raise AllocationError(
+                    f"cannot place 1 page (short 1) in tiers {list(tier_order)}"
                 )
-            remaining -= take
-            if remaining == 0:
-                return placed
-        # Roll back the partial placement so failed allocations are atomic.
-        for frame in placed:
-            self.free(frame, now_ns=now_ns, retire=False)
-            self.frames.pop(frame.fid, None)
-        raise AllocationError(
-            f"cannot place {npages} pages (short {remaining}) in tiers {list(tier_order)}"
-        )
+            # tier.reserve(1), inlined — the loop above found room.
+            used = tier.used_pages + 1
+            tier.used_pages = used
+            tier.total_allocs += 1
+            if used > tier.peak_pages:
+                tier.peak_pages = used
+            fid = self._next_fid
+            self._next_fid = fid + 1
+            frame = PageFrame(
+                fid, tier_name, owner, node_id, obj_type, knode_id, relocatable, now_ns
+            )
+            key = (tier_name, owner)
+            self.frames[fid] = frame
+            self._tier_frames[tier_name][fid] = frame
+            self._tier_owner_frames[key][fid] = frame
+            # Allocation counts as a touch: the scan's reference predicate
+            # (last_access >= last_scan, with last_access = allocated_at)
+            # sees a freshly allocated frame as referenced.
+            frame.journal = self._referenced
+            self._referenced[fid] = frame
+            self.alloc_count[key] += 1
+            self.live_count[key] += 1
+            frames.append(frame)
+        return frames
 
     def try_allocate(
         self, npages: int, tier_order: Sequence[str], owner: PageOwner, **kwargs
@@ -175,64 +181,16 @@ class MemoryTopology:
             return None
 
     @hot
-    def _make_frame(
-        self,
-        tier: MemoryTier,
-        owner: PageOwner,
-        *,
-        node_id: int,
-        obj_type: Optional[str],
-        knode_id: Optional[int],
-        relocatable: bool,
-        now_ns: int,
-    ) -> PageFrame:
-        # tier.reserve(1), inlined — every caller has already checked
-        # capacity, so the over-commit guard cannot trip here.
-        used = tier.used_pages + 1
-        tier.used_pages = used
-        tier.total_allocs += 1
-        if used > tier.peak_pages:
-            tier.peak_pages = used
-        fid = self._next_fid
-        self._next_fid += 1
-        frame = PageFrame(
-            fid,
-            tier.name,
-            owner,
-            node_id=node_id,
-            obj_type=obj_type,
-            knode_id=knode_id,
-            relocatable=relocatable,
-            allocated_at=now_ns,
-        )
-        tname = tier.name
-        key = (tname, owner)
-        self.frames[fid] = frame
-        self._tier_frames[tname][fid] = frame
-        self._tier_owner_frames[key][fid] = frame
-        # Allocation counts as a touch: the scan's reference predicate
-        # (last_access >= last_scan, with last_access = allocated_at)
-        # sees a freshly allocated frame as referenced.
-        frame.journal = self._referenced
-        self._referenced[fid] = frame
-        self.alloc_count[key] += 1
-        self.live_count[key] += 1
-        return frame
-
-    @hot
-    def free(self, frame: PageFrame, *, now_ns: int, retire: bool = True) -> None:
-        """Release a frame back to its tier.
-
-        ``retire=True`` stores the dead frame for lifetime analysis
-        (Fig 2d); internal rollbacks pass ``retire=False``.
-        """
+    def free(self, frame: PageFrame, now_ns: int) -> None:
+        """Release a frame back to its tier and retire it for lifetime
+        analysis (Fig 2d)."""
         san = self.sanitizer
         if san is not None:
             san.on_frame_free(frame, site=call_site(2))
         if not frame.live:
             raise SimulationError(f"double free of frame {frame.fid}")
         tname = frame.tier_name
-        tier = self._tier(tname)
+        tier = self.tiers[tname]
         # tier.release(1), inlined — a live frame always holds one
         # reservation, so the underflow guard cannot trip here.
         tier.used_pages -= 1
@@ -246,8 +204,7 @@ class MemoryTopology:
         del self._tier_owner_frames[key][fid]
         self._referenced.pop(fid, None)
         frame.journal = None
-        if retire:
-            self.retired.append(frame)
+        self.retired.append(frame)
 
     def free_all(self, frames: Iterable[PageFrame], *, now_ns: int) -> None:
         for frame in list(frames):

@@ -8,24 +8,17 @@ object churn visible in Fig 2a's BLOCK_IO slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.objtypes import KernelObjectType
-from repro.core.units import PAGE_SIZE
 
 if TYPE_CHECKING:
     from repro.core.context import KernelContext
     from repro.vfs.inode import Inode
 
-
-@dataclass
-class BioResult:
-    """Completion record for one submitted bio."""
-
-    nbytes: int
-    write: bool
-    cost_ns: int
+#: Hoisted enum members: every submit allocates one of each.
+_BLOCK = KernelObjectType.BLOCK
+_BLK_MQ = KernelObjectType.BLK_MQ
 
 
 class BlockMQ:
@@ -41,49 +34,31 @@ class BlockMQ:
     def submit(
         self,
         nbytes: int,
-        *,
         write: bool,
         sequential: bool,
         inode: Optional["Inode"] = None,
         cpu: int = 0,
         background: bool = False,
-    ) -> BioResult:
-        """One block I/O: allocate bio + request, transfer, complete."""
+    ) -> int:
+        """One block I/O: allocate bio + request, transfer, complete.
+        Returns the device cost in ns."""
         if nbytes <= 0:
             raise ValueError(f"bio must move data: {nbytes}")
-        bio = self.ctx.alloc_object(KernelObjectType.BLOCK, inode, cpu=cpu)
-        req = self.ctx.alloc_object(KernelObjectType.BLK_MQ, inode, cpu=cpu)
+        ctx = self.ctx
+        bio = ctx.alloc_object(_BLOCK, inode, cpu=cpu)
+        req = ctx.alloc_object(_BLK_MQ, inode, cpu=cpu)
         # Building the request touches both structures.
-        self.ctx.access_object(bio, write=True, cpu=cpu)
-        self.ctx.access_object(req, write=True, cpu=cpu)
-        cost = self.ctx.storage_io(
+        ctx.access_object(bio, write=True, cpu=cpu)
+        ctx.access_object(req, write=True, cpu=cpu)
+        cost = ctx.storage_io(
             nbytes, write=write, sequential=sequential, background=background
         )
-        self.ctx.free_object(req, cpu=cpu)
-        self.ctx.free_object(bio, cpu=cpu)
+        ctx.free_object(req, cpu=cpu)
+        ctx.free_object(bio, cpu=cpu)
         self.submitted += 1
         self.bytes_moved += nbytes
         self.per_cpu_dispatch[cpu % len(self.per_cpu_dispatch)] += 1
-        return BioResult(nbytes=nbytes, write=write, cost_ns=cost)
-
-    def submit_pages(
-        self,
-        npages: int,
-        *,
-        write: bool,
-        sequential: bool,
-        inode: Optional["Inode"] = None,
-        cpu: int = 0,
-        background: bool = False,
-    ) -> BioResult:
-        return self.submit(
-            npages * PAGE_SIZE,
-            write=write,
-            sequential=sequential,
-            inode=inode,
-            cpu=cpu,
-            background=background,
-        )
+        return cost
 
     def __repr__(self) -> str:
         return f"BlockMQ(submitted={self.submitted}, bytes={self.bytes_moved})"

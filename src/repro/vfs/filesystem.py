@@ -267,8 +267,8 @@ class Filesystem:
                     batch.sync()
                 self.cache_misses += 1
                 self._extent_lookup(inode, index, cpu=cpu)
-                self.blk.submit_pages(
-                    1, write=False, sequential=False, inode=inode, cpu=cpu
+                self.blk.submit(
+                    PAGE_SIZE, write=False, sequential=False, inode=inode, cpu=cpu
                 )
                 page = self._fill_page(cache, inode, index, cpu=cpu, from_disk=True)
             else:
@@ -302,8 +302,8 @@ class Filesystem:
         cache = self._cache(inode)
         dirty = cache.dirty_pages()
         if dirty:
-            self.blk.submit_pages(
-                len(dirty),
+            self.blk.submit(
+                len(dirty) * PAGE_SIZE,
                 write=True,
                 sequential=True,
                 inode=inode,
@@ -375,8 +375,8 @@ class Filesystem:
             return
         for cache, page in self.cache_mgr.eviction_victims(need):
             if page.dirty:
-                self.blk.submit_pages(
-                    1, write=True, sequential=False, cpu=cpu, background=True
+                self.blk.submit(
+                    PAGE_SIZE, write=True, sequential=False, cpu=cpu, background=True
                 )
                 page.clean()
             self.cache_mgr.note_remove(page)
@@ -407,8 +407,8 @@ class Filesystem:
             # deferred window so it starts at the unbatched virtual time.
             batch.sync()
         # One sequential bio brings the whole window in asynchronously.
-        self.blk.submit_pages(
-            len(to_fetch),
+        self.blk.submit(
+            len(to_fetch) * PAGE_SIZE,
             write=False,
             sequential=True,
             inode=inode,

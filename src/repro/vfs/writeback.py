@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.units import MS
+from repro.core.units import MS, PAGE_SIZE
 
 if TYPE_CHECKING:
     from repro.vfs.filesystem import Filesystem
@@ -60,7 +60,7 @@ class WritebackDaemon:
         """Write back up to ``max_pages`` dirty pages: oldest inodes first,
         then page index order, read from each cache's dirty index."""
         flushed = 0
-        submit = self.fs.blk.submit_pages
+        submit = self.fs.blk.submit
         for cache in self.fs.cache_mgr.caches():
             if flushed >= max_pages:
                 break
@@ -70,7 +70,9 @@ class WritebackDaemon:
                     break
                 page = dirty.pop(index, None)  # None: reclaimed mid-flush
                 if page is not None and page.dirty:
-                    submit(1, write=True, sequential=True, background=True)
+                    # One background page write: (nbytes, write, sequential,
+                    # inode, cpu, background).
+                    submit(PAGE_SIZE, True, True, None, 0, True)
                     page.clean()
                     flushed += 1
         self.pages_flushed += flushed

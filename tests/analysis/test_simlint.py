@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import DEFAULT_RULES, lint_paths, lint_source
+from repro.analysis.simlint import DEFAULT_RULES, HotPathRule, lint_paths, lint_source
 from repro.analysis.simlint.engine import format_report, iter_python_files
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -64,6 +64,39 @@ def test_every_rule_has_a_failing_fixture():
     for _, bad, _good in PAIRS:
         hit |= rules_hit(FIXTURES / bad)
     assert hit >= set(RULE_IDS)
+
+
+def test_stale_whitelist_entry_reported(tmp_path):
+    """A whitelist entry no @hot function calls (outside a raise) is
+    reported at its line in the module that declares the whitelist."""
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "core" / "hotpath.py").write_text(
+        "HOT_CALLEE_WHITELIST = {\n"
+        '    "len",\n'
+        '    "stale",  # line 3\n'
+        '    "ValueError",  # line 4: only ever called inside a raise\n'
+        "}\n"
+    )
+    (pkg / "mod.py").write_text(
+        "from repro.core.hotpath import hot\n"
+        "\n"
+        "\n"
+        "@hot\n"
+        "def size(xs):\n"
+        "    if xs is None:\n"
+        "        raise ValueError(len(xs))\n"
+        "    return len(xs)\n"
+    )
+    rule = HotPathRule(whitelist={"len", "stale", "ValueError"})
+    violations = lint_paths([str(tmp_path / "src")], rules=[rule])
+    assert [(Path(v.path).name, v.line, v.rule) for v in violations] == [
+        ("hotpath.py", 3, "hotpath"),
+        ("hotpath.py", 4, "hotpath"),
+    ]
+    assert "'stale'" in violations[0].message
+    # Without the declaring module in the lint there is nothing to check.
+    assert lint_paths([str(pkg / "mod.py")], rules=[rule]) == []
 
 
 def test_violation_carries_location_and_message():

@@ -129,3 +129,63 @@ class TestCoalescingUnchanged:
         # → work to 40 → deadline 30 due → fires at 40 → stops.
         assert fires == [10, 25, 40]
         assert clock._next_deadline == 50
+
+
+class TestFiringHidesDeadline:
+    """While a daemon fires, the cached deadline reads ``inf``: nested
+    advances take the fast path instead of re-entering ``_fire_due``."""
+
+    @staticmethod
+    def count_fire_due(clock):
+        calls = []
+        fire_due = clock._fire_due
+
+        def counting():
+            calls.append(clock.now())
+            fire_due()
+
+        clock._fire_due = counting
+        return calls
+
+    def test_nested_advances_enter_fire_due_once(self):
+        clock = Clock()
+        seen = []
+
+        def daemon(now):
+            for _ in range(100):
+                clock.advance(1)
+                seen.append(clock.next_deadline_ns)
+
+        clock.schedule_periodic(1000, daemon)
+        calls = self.count_fire_due(clock)
+        clock.advance(1000)
+        assert calls == [1000]
+        assert seen == [Clock._NEVER] * 100
+        assert clock.now() == 1100
+        assert clock.next_deadline_ns == 2000
+
+    def test_callback_scheduling_daemon_enters_fire_due_once(self):
+        clock = Clock()
+        fires = []
+
+        def child(now):
+            fires.append(("child", now))
+
+        def parent(now):
+            fires.append(("parent", now))
+            if len(fires) == 1:
+                clock.schedule_periodic(5, child)  # first deadline 15
+                for _ in range(12):
+                    clock.advance(1)  # past the child's and its own deadline
+
+        clock.schedule_periodic(10, parent)
+        calls = self.count_fire_due(clock)
+        clock.advance(10)
+        assert calls == [10]
+        # The firing loop picks up both newly due daemons once the callback
+        # returns: the child (next 25) and the parent again (next 30).
+        assert fires == [("parent", 10), ("child", 22), ("parent", 22)]
+        assert clock.next_deadline_ns == 25
+        clock.advance(3)
+        assert fires[-1] == ("child", 25)
+        assert calls == [10, 25]

@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.config import two_tier_platform_spec
 from repro.core.errors import SimulationError
-from repro.core.objtypes import KernelObjectType
+from repro.core.objtypes import AllocatorKind, KernelObjectType
 from repro.core.units import MB, PAGE_SIZE
 from repro.kernel.kernel import Kernel
 from repro.kloc.registry import KlocRegistry
 from repro.mem.frame import PageOwner
 from repro.policies import (
+    OPTANE_POLICIES,
+    TWO_TIER_POLICIES,
     AllSlowMem,
     KlocsPolicy,
     NaivePolicy,
@@ -95,6 +97,65 @@ class TestObjectRouting:
             assert not obj.live
 
 
+def _if_chain(kernel, otype, covered):
+    """The allocator the kernel's original per-call ``if`` chain chose."""
+    if otype.allocator is AllocatorKind.SLAB:
+        if covered and kernel.policy.uses_kloc_interface:
+            return kernel.kloc_alloc.alloc
+        return kernel.slab.alloc
+    return kernel.page_alloc.alloc_object
+
+
+def _registered_kernels():
+    from repro.platforms.optane import optane_platform_spec
+
+    for name, cls in sorted(TWO_TIER_POLICIES.items()):
+        yield f"two_tier/{name}", lambda cls=cls: make_kernel(cls())
+    for name, cls in sorted(OPTANE_POLICIES.items()):
+        yield f"optane/{name}", lambda cls=cls: Kernel(
+            optane_platform_spec(scale_factor=4096), cls(), seed=1
+        )
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize(
+        "build", [b for _n, b in _registered_kernels()],
+        ids=[n for n, _b in _registered_kernels()],
+    )
+    def test_route_matches_if_chain(self, build):
+        kernel = build()
+        for otype in KernelObjectType:
+            for covered in (False, True):
+                assert kernel._alloc_route[covered][otype] == _if_chain(
+                    kernel, otype, covered
+                ), (otype, covered)
+        assert kernel._free_route == {
+            "slab": kernel.slab.free,
+            "kloc": kernel.kloc_alloc.free,
+            "page": kernel.page_alloc.free_object,
+        }
+
+    @pytest.mark.parametrize("covered", [False, True])
+    def test_alloc_object_follows_route(self, covered):
+        registry = KlocRegistry() if covered else KlocRegistry.none()
+        kernel = make_kernel(KlocsPolicy(), registry=registry)
+        fh = kernel.fs.create("/f")
+        for otype in KernelObjectType:
+            obj = kernel.alloc_object(otype, fh.inode)
+            assert obj.allocator == _if_chain(kernel, otype, covered).__self__.family
+            kernel.free_object(obj)
+            assert not obj.live
+
+    def test_coverage_is_read_per_call(self):
+        registry = KlocRegistry.none()
+        kernel = make_kernel(KlocsPolicy(), registry=registry)
+        fh = kernel.fs.create("/f")
+        registry.enable(KernelObjectType.DENTRY)
+        assert kernel.alloc_object(KernelObjectType.DENTRY, fh.inode).allocator == "kloc"
+        registry.disable(KernelObjectType.DENTRY)
+        assert kernel.alloc_object(KernelObjectType.DENTRY, fh.inode).allocator == "slab"
+
+
 class TestAccounting:
     def test_reference_attribution(self):
         kernel = make_kernel()
@@ -158,10 +219,13 @@ class TestPressure:
         )
         kernel = Kernel(spec, NaivePolicy(), seed=3, page_cache_max_pages=10_000)
         fh = kernel.fs.create("/big")
-        # Write more than total memory: reclaim must kick in, not crash.
-        kernel.fs.write(fh, 0, 2 * MB)
+        # Write more than total memory (3 MB): reclaim must kick in, not
+        # crash.
+        kernel.fs.write(fh, 0, 4 * MB)
         kernel.topology.check_invariants()
         assert kernel.fs.cache_mgr.total_pages <= kernel.topology.live_pages()
+        # The cap is never reached, so every eviction was direct reclaim.
+        assert kernel.fs.cache_mgr.evicted > 0
 
 
 class TestLifecycleHooks:

@@ -40,9 +40,50 @@ class TestAllocation:
 
     def test_failed_alloc_is_atomic(self, topo):
         total = topo.tier("fast").capacity_pages + topo.tier("slow").capacity_pages
+        (first,) = topo.allocate(1, ["fast"], PageOwner.APP)
+        topo.free(first, now_ns=0)
+        alloc_count = dict(topo.alloc_count)
+        tiers = [(t.total_allocs, t.peak_pages) for t in topo.tiers.values()]
         with pytest.raises(AllocationError):
             topo.allocate(total + 1, ["fast", "slow"], PageOwner.APP)
         assert topo.live_pages() == 0
+        topo.check_invariants()
+        # Nothing was placed, so no counter moved and no fid was used.
+        assert dict(topo.alloc_count) == alloc_count
+        assert [(t.total_allocs, t.peak_pages) for t in topo.tiers.values()] == tiers
+        (frame,) = topo.allocate(1, ["fast"], PageOwner.APP)
+        assert frame.fid == first.fid + 1
+
+    def test_multi_page_spill_matches_single_pages(self, topo):
+        """One multi-page request that spills across tiers places its
+        pages exactly as the same number of single-page requests."""
+        singles = MemoryTopology(
+            [
+                fast_dram_spec(capacity_bytes=FAST_MB * MB),
+                slow_dram_spec(capacity_bytes=SLOW_MB * MB),
+            ]
+        )
+        fast_cap = topo.tier("fast").capacity_pages
+        for t in (topo, singles):
+            t.allocate(fast_cap - 5, ["fast"], PageOwner.SLAB)
+        order = ["fast", "slow"]
+        multi = topo.allocate(12, order, PageOwner.APP, now_ns=7)
+        single = [
+            singles.allocate(1, order, PageOwner.APP, now_ns=7)[0] for _ in range(12)
+        ]
+        assert [(f.fid, f.tier_name) for f in multi] == [
+            (f.fid, f.tier_name) for f in single
+        ]
+        assert [f.tier_name for f in multi].count("slow") == 7
+        assert dict(topo.alloc_count) == dict(singles.alloc_count)
+        assert dict(topo.live_count) == dict(singles.live_count)
+        for name in topo.tiers:
+            a, b = topo.tier(name), singles.tier(name)
+            assert (a.used_pages, a.total_allocs, a.peak_pages) == (
+                b.used_pages,
+                b.total_allocs,
+                b.peak_pages,
+            )
         topo.check_invariants()
 
     def test_try_allocate_returns_none(self, topo):

@@ -79,17 +79,17 @@ class _Driver:
         # The page each submit writes back is the one that turns clean
         # before the next submit (or before flush returns).
         states = []
-        submit = fs.blk.submit_pages
+        submit = fs.blk.submit
 
         def recording_submit(*args, **kwargs):
             states.append(set(brute_dirty(fs)))
             return submit(*args, **kwargs)
 
-        fs.blk.submit_pages = recording_submit
+        fs.blk.submit = recording_submit
         try:
             flushed = self.daemon.flush(quota)
         finally:
-            fs.blk.submit_pages = submit
+            fs.blk.submit = submit
         states.append(set(brute_dirty(fs)))
         order = []
         for before, after in zip(states, states[1:]):

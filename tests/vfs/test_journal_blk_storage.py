@@ -96,8 +96,11 @@ class TestBlockMQ:
 
     def test_submit_pages(self, kernel):
         blk = BlockMQ(kernel)
-        result = blk.submit_pages(3, write=True, sequential=True)
-        assert result.nbytes == 3 * PAGE_SIZE
+        cost = blk.submit(3 * PAGE_SIZE, write=True, sequential=True)
+        assert blk.bytes_moved == 3 * PAGE_SIZE
+        assert cost == kernel.storage.io_cost_ns(
+            3 * PAGE_SIZE, write=True, sequential=True
+        )
 
     def test_zero_bytes_rejected(self, kernel):
         with pytest.raises(ValueError):
@@ -105,8 +108,8 @@ class TestBlockMQ:
 
     def test_background_io_cheaper(self, kernel):
         blk = BlockMQ(kernel)
-        fg = blk.submit(1 << 20, write=False, sequential=True).cost_ns
-        bg = blk.submit(1 << 20, write=False, sequential=True, background=True).cost_ns
+        fg = blk.submit(1 << 20, write=False, sequential=True)
+        bg = blk.submit(1 << 20, write=False, sequential=True, background=True)
         assert bg < fg
 
 
