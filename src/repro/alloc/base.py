@@ -20,6 +20,10 @@ ALLOC_COSTS = {
     "kloc": 140 * NS,
 }
 
+#: Frame ``obj_type`` label per type: a dict read instead of the enum's
+#: ``name`` property each time an allocation grabs a page.
+TYPE_NAMES = {otype: otype.name for otype in KernelObjectType}
+
 
 @dataclass(slots=True)
 class KernelObject:

@@ -20,7 +20,7 @@ from repro.core.errors import SimulationError
 from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.sanitize import call_site
-from repro.alloc.base import ALLOC_COSTS, AllocatorStats, KernelObject
+from repro.alloc.base import ALLOC_COSTS, TYPE_NAMES, AllocatorStats, KernelObject
 
 from repro.mem.frame import PageFrame, PageOwner
 from repro.mem.topology import MemoryTopology
@@ -97,9 +97,10 @@ class PageAllocator:
         node_id: int = 0,
     ) -> KernelObject:
         """Allocate one page-backed kernel object owning its frame."""
-        now = self.clock.now()
+        clock = self.clock
+        now = clock.now()
         (frame,) = self.topology.allocate(
-            1, tier_order, otype.owner, otype.name, knode_id, True, now, node_id
+            1, tier_order, otype.owner, TYPE_NAMES[otype], knode_id, True, now, node_id
         )
         stats = self.stats
         stats.pages_grabbed += 1
@@ -107,7 +108,7 @@ class PageAllocator:
         oid = self._next_oid
         self._next_oid = oid + 1
         stats.cpu_cost_ns += _PAGE_COST
-        self.clock.advance(_PAGE_COST)
+        clock.advance(_PAGE_COST)
         return KernelObject(oid, otype, knode_id, frame, "page", now)
 
     @hot

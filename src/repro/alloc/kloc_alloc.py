@@ -25,7 +25,7 @@ from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.sanitize import call_site
 from repro.core.units import PAGE_SIZE
-from repro.alloc.base import ALLOC_COSTS, AllocatorStats, KernelObject
+from repro.alloc.base import ALLOC_COSTS, TYPE_NAMES, AllocatorStats, KernelObject
 
 from repro.mem.frame import PageFrame
 from repro.mem.topology import MemoryTopology
@@ -95,7 +95,7 @@ class KlocAllocator:
         page = self._partial.get(knode_id)
         if page is None or page.used_bytes + size > PAGE_SIZE:
             (frame,) = self.topology.allocate(
-                1, tier_order, otype.owner, otype.name, knode_id, True, now
+                1, tier_order, otype.owner, TYPE_NAMES[otype], knode_id, True, now
             )
             page = _KlocPage(frame, knode_id)
             self._partial[knode_id] = page

@@ -22,7 +22,7 @@ from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.sanitize import call_site
 from repro.core.units import PAGE_SIZE
-from repro.alloc.base import ALLOC_COSTS, AllocatorStats, KernelObject
+from repro.alloc.base import ALLOC_COSTS, TYPE_NAMES, AllocatorStats, KernelObject
 
 from repro.mem.frame import PageFrame
 from repro.mem.topology import MemoryTopology
@@ -98,7 +98,7 @@ class SlabAllocator:
             page = partial[-1]
         else:
             (frame,) = self.topology.allocate(
-                1, tier_order, otype.owner, otype.name, knode_id, False, now
+                1, tier_order, otype.owner, TYPE_NAMES[otype], knode_id, False, now
             )
             page = _SlabPage(frame, cache.objs_per_page)
             partial.append(page)

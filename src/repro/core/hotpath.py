@@ -38,6 +38,7 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     # builtins / constructors (bare-name calls)
     "len",
     "int",
+    "range",
     "KernelObject",
     "PageFrame",
     "_SlabPage",
@@ -72,6 +73,14 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "_cache",
     "_check_cpu",
     "_drop_holder",
+    "knode_for_inode",
+    # the page-cache write loop's one call per layer for each page
+    "_fill_page",
+    "insert",
+    "touch",
+    "alloc_object",
+    "access_object",
+    "log_metadata",
     # sanitizer hooks (no-ops unless REPRO_SANITIZE=1; see repro.core.sanitize)
     "on_object_free",
     "on_frame_free",

@@ -10,7 +10,7 @@ scan; KLOCs short-circuit it for kernel objects.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, List, TypeVar
+from typing import Generic, List, TypeVar
 
 T = TypeVar("T")
 
@@ -48,24 +48,34 @@ class ActiveInactiveLRU(Generic[T]):
         return len(self._inactive)
 
     def insert(self, item: T) -> None:
-        """Add a new item to the head of the inactive list."""
-        if item in self:
+        """Add a new item at the inactive head (a listed one is touched)."""
+        if item in self._active or item in self._inactive:
             self.touch(item)
             return
         self._inactive[item] = None
-        self._inactive.move_to_end(item)
 
     def touch(self, item: T) -> None:
-        """Record a reference: inactive → active, active → MRU position."""
-        if item in self._active:
-            self._active.move_to_end(item)
-        elif item in self._inactive:
-            del self._inactive[item]
-            self._active[item] = None
-            self.promotions += 1
-            self._balance()
-        else:
-            self.insert(item)
+        """Record a reference: inactive → active, active → MRU position,
+        unlisted → inserted. A promotion demotes the coldest active items
+        while the active list holds over ``active_ratio`` of all (min 1)."""
+        active = self._active
+        if item in active:
+            active.move_to_end(item)
+            return
+        inactive = self._inactive
+        if item not in inactive:
+            inactive[item] = None
+            return
+        del inactive[item]
+        active[item] = None
+        self.promotions += 1
+        floor = (len(active) + len(inactive)) * self._active_ratio
+        if floor < 1.0:
+            floor = 1.0
+        while len(active) > floor:
+            demoted, _ = active.popitem(last=False)
+            inactive[demoted] = None
+            self.demotions += 1
 
     def remove(self, item: T) -> bool:
         """Drop an item entirely (it was freed); returns False if absent."""
@@ -80,15 +90,6 @@ class ActiveInactiveLRU(Generic[T]):
     def is_active(self, item: T) -> bool:
         return item in self._active
 
-    def _balance(self) -> None:
-        """Demote cold active items when the active list is oversized."""
-        total = len(self)
-        floor = max(1.0, total * self._active_ratio)
-        while self._active and len(self._active) > floor:
-            item, _ = self._active.popitem(last=False)
-            self._inactive[item] = None
-            self.demotions += 1
-
     def eviction_candidates(self, n: int) -> List[T]:
         """The ``n`` coldest items (inactive tail first, then active tail)."""
         out: List[T] = []
@@ -101,13 +102,6 @@ class ActiveInactiveLRU(Generic[T]):
                 break
             out.append(item)
         return out
-
-    def inactive_items(self) -> Iterator[T]:
-        """Coldest-first iteration over the inactive list."""
-        return iter(list(self._inactive))
-
-    def active_items(self) -> Iterator[T]:
-        return iter(list(self._active))
 
     def __repr__(self) -> str:
         return (

@@ -50,7 +50,8 @@ class RadixTree:
         on_node_alloc: Optional[Callable[[_RadixNode], None]] = None,
         on_node_free: Optional[Callable[[_RadixNode], None]] = None,
     ) -> None:
-        self._root: Optional[_RadixNode] = None
+        #: The top node (None while empty); callers read its ``token``.
+        self.root: Optional[_RadixNode] = None
         self._height_shift = 0  # shift of the root node
         self._values: Dict[int, Any] = {}
         self._on_alloc = on_node_alloc
@@ -86,10 +87,11 @@ class RadixTree:
         if index in values:
             values[index] = value
             return False
-        self._maybe_grow(index)
-        if self._root is None:
-            self._root = self._new_node(self._height_shift)
-        node = self._root
+        if index >= 1 << (self._height_shift + RADIX_SHIFT):
+            self._maybe_grow(index)
+        if self.root is None:
+            self.root = self._new_node(self._height_shift)
+        node = self.root
         while node.shift > 0:
             slot = (index >> node.shift) & (RADIX_SLOTS - 1)
             child = node.slots.get(slot)
@@ -104,13 +106,13 @@ class RadixTree:
 
     def _maybe_grow(self, index: int) -> None:
         while index >= (1 << (self._height_shift + RADIX_SHIFT)):
-            old_root = self._root
+            old_root = self.root
             self._height_shift += RADIX_SHIFT
             if old_root is not None:
                 new_root = self._new_node(old_root.shift + RADIX_SHIFT)
                 new_root.slots[0] = old_root
                 new_root.count = 1
-                self._root = new_root
+                self.root = new_root
             # With no root yet, just remember the required height.
 
     def lookup(self, index: int) -> Any:
@@ -120,7 +122,7 @@ class RadixTree:
         if value is not None:
             self.lookup_hops += self._height_shift // RADIX_SHIFT + 1
             return value
-        node = self._root
+        node = self.root
         if node is None or index >= (1 << (self._height_shift + RADIX_SHIFT)):
             return None
         hops = 1
@@ -142,7 +144,7 @@ class RadixTree:
         if index not in values:
             return None
         path: List[Tuple[_RadixNode, int]] = []
-        node = self._root
+        node = self.root
         while node.shift > 0:
             slot = (index >> node.shift) & (RADIX_SLOTS - 1)
             path.append((node, slot))
@@ -158,9 +160,9 @@ class RadixTree:
             parent.slots.pop(pslot, None)
             parent.count -= 1
             child = parent
-        if self._root is not None and self._root.count == 0:
-            self._free_node(self._root)
-            self._root = None
+        if self.root is not None and self.root.count == 0:
+            self._free_node(self.root)
+            self.root = None
             self._height_shift = 0
         return value
 

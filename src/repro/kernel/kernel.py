@@ -557,7 +557,7 @@ class Kernel:
                     page.obj.size_bytes, write=True, sequential=False, background=True
                 )
                 page.clean()
-            cache_mgr.note_remove(page)
+            cache_mgr.lru.remove(page)
             cache.remove(page.index)
             self.free_object(page.obj, cpu=cpu)
             cache_mgr.evicted += 1

@@ -163,7 +163,14 @@ class KlocManager:
         knode.age = 0
         knode.last_access = self.clock._now  # noqa: SLF001 - hot-path read
         self._tracked_objects += 1
-        self._note_metadata()
+        # _note_metadata(), inlined: the attach grew the rb-tree pointers.
+        size = (
+            KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
+            + RB_POINTER_BYTES * self._tracked_objects
+            + PERCPU_ENTRY_BYTES * self.percpu.lists.total_entries
+        )
+        if size > self.peak_metadata_bytes:
+            self.peak_metadata_bytes = size
         return True
 
     @hot

@@ -187,7 +187,7 @@ class MemoryTopology:
         san = self.sanitizer
         if san is not None:
             san.on_frame_free(frame, site=call_site(2))
-        if not frame.live:
+        if frame.freed_at is not None:
             raise SimulationError(f"double free of frame {frame.fid}")
         tname = frame.tier_name
         tier = self.tiers[tname]

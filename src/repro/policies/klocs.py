@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.mem.frame import PageOwner
 from repro.policies.base import TieringPolicy
@@ -53,6 +54,8 @@ TRANSIENT_TYPES = frozenset(
 #: (``MemoryTopology.allocate``) — never mutate.
 _FAST_FIRST = ["fast", "slow"]
 _SLOW_FIRST = ["slow", "fast"]
+#: The live-page counter key of application pages on the fast tier.
+_FAST_APP = ("fast", PageOwner.APP)
 
 
 class KlocsNoMigrationPolicy(TieringPolicy):
@@ -65,9 +68,16 @@ class KlocsNoMigrationPolicy(TieringPolicy):
     def __init__(self) -> None:
         super().__init__()
         self.lru: LRUScanEngine = None  # type: ignore[assignment]
+        # Placement state read per allocation; attach() binds the rest.
+        self._manager = None
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
+        topology = kernel.topology
+        self._manager = kernel.kloc_manager
+        self._fast = topology.tier("fast")
+        self._live_count = topology.live_count
+        self._app_fraction = 1 - kernel.platform.kloc.fast_capacity_fraction
         # Promotion covers kernel pages too — KLOCs make referenced slow
         # kernel pages identifiable and (via the KLOC allocation interface)
         # relocatable; demotion of kernel objects is handled by knode
@@ -87,49 +97,45 @@ class KlocsNoMigrationPolicy(TieringPolicy):
         # placement in slower memory".
         return _FAST_FIRST
 
-    def tier_order_kernel(self, otype, inode, *, covered: bool, cpu: int = 0) -> List[str]:
-        if not covered:
-            return _FAST_FIRST
-        if inode is None or otype in TRANSIENT_TYPES:
-            # Transient objects (bios, blk-mq requests, packet buffers,
-            # journal records) live microseconds-to-sub-ms and are
-            # referenced immediately — always hot at allocation, gone
-            # before pollution is possible.
-            return _FAST_FIRST
-        if self._knode_active(inode, cpu=cpu) and not self._kernel_share_full():
-            return _FAST_FIRST
-        return _SLOW_FIRST
-
     #: Headroom kept available for application promotions beyond the
     #: app's current fast-tier residency.
     APP_GROWTH_MARGIN = 256
 
-    def _kernel_share_full(self) -> bool:
-        """sys_kloc_memsize()-style cap with demand-based app priority.
+    @hot
+    def tier_order_kernel(self, otype, inode, *, covered: bool, cpu: int = 0) -> List[str]:
+        """Fast first for an active knode's object while the kernel's
+        share of fast memory has room, slow first otherwise.
 
-        Application pages are entitled to (1 - fast_capacity_fraction) of
-        fast memory (§4.2.2: "KLOCs prioritize application pages"), but
-        entitlement the app is not using — beyond a growth margin — is
-        lendable to kernel objects, so app-light workloads (Filebench)
-        still fill fast memory with kernel data.
+        Transient objects (bios, blk-mq requests, packet buffers, journal
+        records) live microseconds-to-sub-ms and are referenced
+        immediately: always hot at allocation, gone before pollution is
+        possible, so they go fast like uncovered types.
+
+        The share is a sys_kloc_memsize()-style cap with demand-based app
+        priority. Application pages are entitled to (1 -
+        fast_capacity_fraction) of fast memory (§4.2.2: "KLOCs prioritize
+        application pages"), but entitlement the app is not using, beyond
+        a growth margin, is lent to kernel objects, so app-light workloads
+        (Filebench) still fill fast memory with kernel data.
         """
-        topo = self.kernel.topology
-        fast = topo.tier("fast")
-        cap = fast.capacity_pages
-        frac = self.kernel.platform.kloc.fast_capacity_fraction
-        app_fast = topo.live_count.get(("fast", PageOwner.APP), 0)
-        app_entitlement = min(int(cap * (1 - frac)), app_fast + self.APP_GROWTH_MARGIN)
-        budget = cap - app_entitlement
-        return topo.kernel_pages_in("fast") >= budget
-
-    def _knode_active(self, inode, *, cpu: int) -> bool:
-        if inode is None:
-            return False
-        manager = self.kernel.kloc_manager
+        if not covered or inode is None or otype in TRANSIENT_TYPES:
+            return _FAST_FIRST
+        manager = self._manager
         if manager is None or inode.knode_id is None:
-            return False
+            return _SLOW_FIRST
         knode = manager.knode_for_inode(inode, cpu=cpu)
-        return knode is not None and knode.inuse
+        if knode is None or not knode.inuse:
+            return _SLOW_FIRST
+        fast = self._fast
+        cap = fast.capacity_pages
+        app_fast = self._live_count.get(_FAST_APP, 0)
+        entitlement = int(cap * self._app_fraction)
+        if app_fast + self.APP_GROWTH_MARGIN < entitlement:
+            entitlement = app_fast + self.APP_GROWTH_MARGIN
+        # Every live fast frame that is not the app's is a kernel page.
+        if fast.used_pages - app_fast < cap - entitlement:
+            return _FAST_FIRST
+        return _SLOW_FIRST
 
 
 class KlocsPolicy(KlocsNoMigrationPolicy):

@@ -26,17 +26,14 @@ class ExtentTree:
         self._extents: Dict[int, KernelObject] = {}
         self.lookups = 0
 
-    @staticmethod
-    def span_for_page(page_index: int) -> int:
-        return page_index // EXTENT_SPAN_PAGES
-
     def lookup(self, page_index: int) -> Optional[KernelObject]:
         """Find the extent covering a page (None → hole, needs allocation)."""
         self.lookups += 1
-        return self._extents.get(self.span_for_page(page_index))
+        return self._extents.get(page_index // EXTENT_SPAN_PAGES)
 
     def insert(self, page_index: int, extent: KernelObject) -> None:
-        self._extents[self.span_for_page(page_index)] = extent
+        """Map the span covering ``page_index`` to ``extent``."""
+        self._extents[page_index // EXTENT_SPAN_PAGES] = extent
 
     def remove_all(self) -> List[KernelObject]:
         """Detach every extent (truncate/unlink); caller frees them."""

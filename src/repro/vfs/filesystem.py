@@ -9,9 +9,10 @@ and unlink drive the knode lifecycle via the kernel-context hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.core.errors import VFSError
+from repro.core.errors import SimulationError, VFSError
+from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
 from repro.core.units import PAGE_SIZE
 from repro.vfs.blkmq import BlockMQ
@@ -176,10 +177,17 @@ class Filesystem:
 
         cache = self.cache_mgr.cache_for(inode.ino)
         if cache is not None:
-            for page in cache.pages():
-                self.cache_mgr.note_remove(page)
-                cache.remove(page.index)
-                self.ctx.free_object(page.obj, cpu=cpu)
+            lru = self.cache_mgr.lru
+            tree = cache.tree
+            dirty = cache.dirty
+            ctx = self.ctx
+            # Page by page, in index order: a daemon fired by a free sees
+            # the pages not yet dropped still cached (and still dirty).
+            for index, page in tree.items():
+                lru.remove(page)
+                dirty.pop(index, None)
+                tree.delete(index)
+                ctx.free_object(page.obj, cpu=cpu)
             self.cache_mgr.unregister(inode.ino)
         extents = self._extents.pop(inode.ino, None)
         if extents is not None:
@@ -200,48 +208,70 @@ class Filesystem:
     # data operations
     # ------------------------------------------------------------------
 
+    @hot
     def write(self, handle: FileHandle, offset: int, nbytes: int, *, cpu: int = 0) -> int:
-        """Buffered write: page cache population + metadata journalling."""
-        self._check_open(handle)
+        """Buffered write: page cache population + metadata journalling.
+
+        One pass over the pages the write touches. Each page makes one
+        radix lookup and one access charge for the bytes landing on it.
+        A cached page adds one LRU touch and one charge to the radix root
+        (the index walk); a new page adds one fill and one extent lookup.
+        """
+        if handle.closed:
+            raise VFSError(f"fd {handle.fd} is closed")
         if nbytes <= 0:
             raise ValueError(f"write needs bytes: {nbytes}")
         self.ops["write"] += 1
         inode = handle.inode
         cache = self._cache(inode)
+        tree = cache.tree
+        dirty = cache.dirty
+        lru = self.cache_mgr.lru
         extents = self._extents[inode.ino]
-
-        first = offset // PAGE_SIZE
-        last = (offset + nbytes - 1) // PAGE_SIZE
-        for index in range(first, last + 1):
-            page = cache.lookup(index)
+        ctx = self.ctx
+        end = offset + nbytes
+        pos = offset
+        for index in range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1):
+            page = tree.lookup(index)
             if page is None:
-                page = self._fill_page(cache, inode, index, cpu=cpu, from_disk=False)
+                page = self._fill_page(cache, inode, index, cpu, False)
                 # New data may need a new extent, which is journalled.
                 if extents.lookup(index) is None:
-                    extent = self.ctx.alloc_object(
-                        KernelObjectType.EXTENT, inode, cpu=cpu
-                    )
+                    extent = ctx.alloc_object(KernelObjectType.EXTENT, inode, cpu=cpu)
                     extents.insert(index, extent)
-                    self.ctx.access_object(extent, write=True, cpu=cpu)
+                    ctx.access_object(extent, write=True, cpu=cpu)
                     self.journal.log_metadata(inode, 1, cpu=cpu)
             else:
-                self.cache_mgr.note_access(page)
-                self._charge_index_walk(cache, cpu=cpu)
-            chunk = self._chunk_bytes(offset, nbytes, index)
+                lru.touch(page)
+                token = tree.root.token
+                if token is not None and token.freed_at is None:
+                    ctx.access_object(token, 64, cpu=cpu)
+            page_end = (index + 1) * PAGE_SIZE
             # Index before dirtying: the access may fire the writeback timer.
-            cache.dirty[index] = page
-            self.ctx.access_object(page.obj, chunk, write=True, cpu=cpu)
+            dirty[index] = page
+            ctx.access_object(
+                page.obj, (page_end if page_end < end else end) - pos, write=True, cpu=cpu
+            )
+            pos = page_end
 
-        inode.size_bytes = max(inode.size_bytes, offset + nbytes)
-        inode.mtime = self.ctx.clock.now()
+        if end > inode.size_bytes:
+            inode.size_bytes = end
+        inode.mtime = ctx.clock.now()
         if inode.backing is not None:
-            self.ctx.access_object(inode.backing, write=True, cpu=cpu)
+            ctx.access_object(inode.backing, write=True, cpu=cpu)
         self.journal.log_metadata(inode, INODE_UPDATE_RECORDS, cpu=cpu)
         return nbytes
 
     def read(self, handle: FileHandle, offset: int, nbytes: int, *, cpu: int = 0) -> int:
-        """Buffered read with cache-miss block I/O and adaptive readahead."""
-        self._check_open(handle)
+        """Buffered read with cache-miss block I/O and adaptive readahead.
+
+        :meth:`write`'s loop shape; a miss instead goes to disk (extent
+        lookup, one bio, a fill), and each page ends with one readahead
+        update. Charges go through the kernel's deferred-advance window
+        when it offers one; misses and fetches sync it first.
+        """
+        if handle.closed:
+            raise VFSError(f"fd {handle.fd} is closed")
         if nbytes <= 0:
             raise ValueError(f"read needs bytes: {nbytes}")
         self.ops["read"] += 1
@@ -251,42 +281,49 @@ class Filesystem:
         if offset >= limit:
             return 0
 
-        first = offset // PAGE_SIZE
-        last = (limit - 1) // PAGE_SIZE
-        # Cache hits are charged through a deferred-advance window (when
-        # the kernel offers one): the index-walk token and page charges of
-        # a run of hits coalesce into one Clock.advance. Misses and
-        # readahead fetches do real clock work, so the window is synced
-        # before them.
-        begin = getattr(self.ctx, "begin_access_batch", None)
+        ctx = self.ctx
+        begin = getattr(ctx, "begin_access_batch", None)
         batch = begin() if begin is not None else None
-        for index in range(first, last + 1):
-            page = cache.lookup(index)
+        charge = ctx if batch is None else batch
+        tree = cache.tree
+        lru = self.cache_mgr.lru
+        readahead = handle.readahead if self.readahead_enabled else None
+        max_index = (inode.size_bytes - 1) // PAGE_SIZE
+        pos = offset
+        for index in range(offset // PAGE_SIZE, (limit - 1) // PAGE_SIZE + 1):
+            page = tree.lookup(index)
             if page is None:
                 if batch is not None:
                     batch.sync()
                 self.cache_misses += 1
-                self._extent_lookup(inode, index, cpu=cpu)
-                self.blk.submit(
-                    PAGE_SIZE, write=False, sequential=False, inode=inode, cpu=cpu
-                )
-                page = self._fill_page(cache, inode, index, cpu=cpu, from_disk=True)
+                extent = self._extents[inode.ino].lookup(index)
+                if extent is not None:
+                    ctx.access_object(extent, cpu=cpu)
+                self.blk.submit(PAGE_SIZE, False, False, inode, cpu)
+                page = self._fill_page(cache, inode, index, cpu, True)
             else:
                 self.cache_hits += 1
-                self.cache_mgr.note_access(page)
-                self._charge_index_walk(cache, cpu=cpu, batch=batch)
-            chunk = self._chunk_bytes(offset, limit - offset, index)
-            if batch is not None:
-                batch.access_object(page.obj, chunk, cpu=cpu)
-            else:
-                self.ctx.access_object(page.obj, chunk, cpu=cpu)
+                lru.touch(page)
+                token = tree.root.token
+                if token is not None and token.freed_at is None:
+                    charge.access_object(token, 64, cpu=cpu)
+            page_end = (index + 1) * PAGE_SIZE
+            charge.access_object(
+                page.obj, (page_end if page_end < limit else limit) - pos, cpu=cpu
+            )
+            pos = page_end
 
-            if self.readahead_enabled:
-                self._readahead(handle, cache, inode, index, cpu=cpu, batch=batch)
+            if readahead is not None:
+                to_fetch = []
+                for i in readahead.update(index):
+                    if i <= max_index and tree.lookup(i) is None:
+                        to_fetch.append(i)
+                if to_fetch:
+                    self._readahead(cache, inode, to_fetch, cpu, batch)
 
         if batch is not None:
             batch.close()
-        inode.atime = self.ctx.clock.now()
+        inode.atime = ctx.clock.now()
         return limit - offset
 
     def fsync(self, handle: FileHandle, *, cpu: int = 0, background: bool = False) -> int:
@@ -296,7 +333,8 @@ class Filesystem:
         background threads (LSM flush/compaction workers, fork-based
         checkpointers): the device work overlaps foreground progress.
         """
-        self._check_open(handle)
+        if handle.closed:
+            raise VFSError(f"fd {handle.fd} is closed")
         self.ops["fsync"] += 1
         inode = handle.inode
         cache = self._cache(inode)
@@ -311,7 +349,7 @@ class Filesystem:
                 background=background,
             )
             for page in dirty:
-                page.clean()
+                page.obj.frame.dirty = False
         cache.dirty.clear()
         self.journal.commit(cpu=cpu, background=background)
         return len(dirty)
@@ -320,103 +358,57 @@ class Filesystem:
     # internals
     # ------------------------------------------------------------------
 
-    def _check_open(self, handle: FileHandle) -> None:
-        if handle.closed:
-            raise VFSError(f"fd {handle.fd} is closed")
-
     def _cache(self, inode: Inode) -> PageCache:
         cache = self.cache_mgr.cache_for(inode.ino)
         if cache is None:
             raise VFSError(f"inode {inode.ino} has no page cache")
         return cache
 
-    @staticmethod
-    def _chunk_bytes(offset: int, nbytes: int, index: int) -> int:
-        """Bytes of this request that land on page ``index``."""
-        page_start = index * PAGE_SIZE
-        page_end = page_start + PAGE_SIZE
-        start = max(offset, page_start)
-        end = min(offset + nbytes, page_end)
-        return max(0, end - start)
-
     def _fill_page(
-        self, cache: PageCache, inode: Inode, index: int, *, cpu: int, from_disk: bool
+        self, cache: PageCache, inode: Inode, index: int, cpu: int, from_disk: bool
     ) -> CachePage:
         """Allocate a page-cache page, evicting under global pressure."""
-        self._reclaim_if_needed(cpu=cpu)
+        cache_mgr = self.cache_mgr
+        lru = cache_mgr.lru
+        need = len(lru) + 1 - cache_mgr.max_pages
+        if need > 0:
+            self._reclaim(need, cpu)
         obj = self.ctx.alloc_object(KernelObjectType.PAGE_CACHE, inode, cpu=cpu)
         page = CachePage(obj, inode.ino, index)
         if from_disk:
             # Device data lands in the page: one full-page write.
             self.ctx.access_object(obj, PAGE_SIZE, write=True, cpu=cpu)
             page.clean()  # disk contents are clean until modified
-        cache.insert(page)
-        self.cache_mgr.note_insert(page)
+        if not cache.tree.insert(index, page):
+            raise SimulationError(f"page {index} of inode {inode.ino} already cached")
+        lru.insert(page)
+        cache_mgr.inserted += 1
         return page
 
-    def _charge_index_walk(self, cache: PageCache, *, cpu: int, batch=None) -> None:
-        """One page-cache radix traversal hits the index's node objects."""
-        token = cache.root_node_token()
-        if token is not None and token.live:
-            if batch is not None:
-                batch.access_object(token, 64, cpu=cpu)
-            else:
-                self.ctx.access_object(token, 64, cpu=cpu)
-
-    def _extent_lookup(self, inode: Inode, index: int, *, cpu: int) -> None:
-        extent = self._extents[inode.ino].lookup(index)
-        if extent is not None:
-            self.ctx.access_object(extent, cpu=cpu)
-
-    def _reclaim_if_needed(self, *, cpu: int) -> None:
-        """Shrink the page cache when the global cap is exceeded."""
-        need = self.cache_mgr.over_pressure()
-        if not need:
-            return
-        for cache, page in self.cache_mgr.eviction_victims(need):
+    def _reclaim(self, need: int, cpu: int) -> None:
+        """Shrink the page cache by ``need`` pages, coldest first."""
+        cache_mgr = self.cache_mgr
+        for cache, page in cache_mgr.eviction_victims(need):
             if page.dirty:
-                self.blk.submit(
-                    PAGE_SIZE, write=True, sequential=False, cpu=cpu, background=True
-                )
+                self.blk.submit(PAGE_SIZE, True, False, None, cpu, True)
                 page.clean()
-            self.cache_mgr.note_remove(page)
+            cache_mgr.lru.remove(page)
             cache.remove(page.index)
             self.ctx.free_object(page.obj, cpu=cpu)
-            self.cache_mgr.evicted += 1
+            cache_mgr.evicted += 1
 
     def _readahead(
-        self,
-        handle: FileHandle,
-        cache: PageCache,
-        inode: Inode,
-        index: int,
-        *,
-        cpu: int,
-        batch=None,
+        self, cache: PageCache, inode: Inode, to_fetch: List[int], cpu: int, batch
     ) -> None:
-        max_index = (inode.size_bytes - 1) // PAGE_SIZE if inode.size_bytes else -1
-        to_fetch = [
-            i
-            for i in handle.readahead.update(index)
-            if i <= max_index and cache.lookup(i) is None
-        ]
-        if not to_fetch:
-            return
+        """Fetch the uncached pages of a readahead window."""
         if batch is not None:
             # The fetch does real clock work (bios, page fills): flush the
             # deferred window so it starts at the unbatched virtual time.
             batch.sync()
         # One sequential bio brings the whole window in asynchronously.
-        self.blk.submit(
-            len(to_fetch) * PAGE_SIZE,
-            write=False,
-            sequential=True,
-            inode=inode,
-            cpu=cpu,
-            background=True,
-        )
+        self.blk.submit(len(to_fetch) * PAGE_SIZE, False, True, inode, cpu, True)
         for i in to_fetch:
-            self._fill_page(cache, inode, i, cpu=cpu, from_disk=True)
+            self._fill_page(cache, inode, i, cpu, True)
         notify = getattr(self.ctx, "notify_prefetch", None)
         if notify is not None:
             notify(inode, len(to_fetch))
@@ -461,7 +453,7 @@ class Filesystem:
                     )
                 if page.dirty and cache.dirty.get(page.index) is not page:
                     raise VFSError(f"inode {ino} page {page.index} dirty, unindexed")
-            if any(cache.lookup(i) is not p for i, p in cache.dirty.items()):
+            if any(cache.tree.lookup(i) is not p for i, p in cache.dirty.items()):
                 raise VFSError(f"inode {ino} dirty index names an uncached page")
         if total_cached != self.cache_mgr.total_pages:
             raise VFSError(

@@ -40,6 +40,9 @@ class CachePage:
 class PageCache:
     """Per-inode page index, backed by a kernel radix tree.
 
+    The data path probes and fills ``tree`` directly (``tree.lookup``,
+    ``tree.insert``): one radix call per page, no forwarding frame.
+
     ``alloc_node``/``free_node`` create and destroy the RADIX_NODE slab
     objects for interior nodes, so index metadata shows up in the
     footprint breakdowns exactly as §3.3 describes.
@@ -68,22 +71,6 @@ class PageCache:
         if node.token is not None:
             self._free_node(node.token)
 
-    def lookup(self, index: int) -> Optional[CachePage]:
-        return self.tree.lookup(index)
-
-    def root_node_token(self) -> Optional[KernelObject]:
-        """The RADIX_NODE object backing the root — the filesystem charges
-        one index-structure reference per lookup against it (§3.1: page
-        cache radix walks are themselves memory-intensive)."""
-        root = self.tree._root  # noqa: SLF001 - modeled pointer chase
-        return root.token if root is not None else None
-
-    def insert(self, page: CachePage) -> None:
-        if not self.tree.insert(page.index, page):
-            raise SimulationError(
-                f"page {page.index} of inode {self.ino} already cached"
-            )
-
     def remove(self, index: int) -> Optional[CachePage]:
         self.dirty.pop(index, None)
         return self.tree.delete(index)
@@ -92,14 +79,21 @@ class PageCache:
         return [page for _idx, page in self.tree.items()]
 
     def dirty_pages(self) -> List[CachePage]:
-        return [page for _i, page in sorted(self.dirty.items()) if page.dirty]
+        """Dirty pages in index order (stale clean entries skipped)."""
+        return [page for _i, page in sorted(self.dirty.items()) if page.obj.frame.dirty]
 
     def __len__(self) -> int:
         return len(self.tree)
 
 
 class PageCacheManager:
-    """Global page-cache accounting, LRU ordering, and pressure handling."""
+    """Global page-cache accounting, LRU ordering, and pressure handling.
+
+    The filesystem's data path works on :attr:`lru` directly (insert on
+    a fill, touch on a hit, remove on eviction or unlink), checks the
+    cap against ``len(lru)`` before each fill, and counts fills in
+    :attr:`inserted` and evictions in :attr:`evicted`.
+    """
 
     def __init__(self, max_pages: int) -> None:
         if max_pages <= 0:
@@ -125,27 +119,12 @@ class PageCacheManager:
     def total_pages(self) -> int:
         return len(self.lru)
 
-    def note_insert(self, page: CachePage) -> None:
-        self.lru.insert(page)
-        self.inserted += 1
-
-    def note_access(self, page: CachePage) -> None:
-        self.lru.touch(page)
-
-    def note_remove(self, page: CachePage) -> None:
-        self.lru.remove(page)
-
-    def over_pressure(self, incoming: int = 1) -> int:
-        """How many pages must be evicted to admit ``incoming`` more."""
-        excess = self.total_pages + incoming - self.max_pages
-        return max(0, excess)
-
     def eviction_victims(self, n: int) -> List[Tuple[PageCache, CachePage]]:
         """Pick the ``n`` coldest pages with their owning caches.
 
         The caller (filesystem) writes back dirty victims, frees the
-        backing objects, and calls :meth:`note_remove`; pages whose cache
-        vanished already are skipped defensively.
+        backing objects, and removes them from :attr:`lru`; pages whose
+        cache vanished already are skipped defensively.
         """
         victims: List[Tuple[PageCache, CachePage]] = []
         for page in self.lru.eviction_candidates(n):

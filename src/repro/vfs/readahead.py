@@ -32,8 +32,9 @@ class ReadaheadState:
 
     def update(self, index: int) -> List[int]:
         """Record a read at ``index``; return page indexes to prefetch."""
-        if index in self._outstanding:
-            self._outstanding.discard(index)
+        outstanding = self._outstanding
+        if index in outstanding:
+            outstanding.discard(index)
             self.hits_on_prefetched += 1
 
         if index == self.last_index + 1:
@@ -46,9 +47,11 @@ class ReadaheadState:
         if self.streak < 2:
             return []
         # Established sequential stream: prefetch ahead and grow.
-        start = index + 1
-        pages = [i for i in range(start, start + self.window) if i not in self._outstanding]
-        self._outstanding.update(pages)
+        pages = []
+        for i in range(index + 1, index + 1 + self.window):
+            if i not in outstanding:
+                pages.append(i)
+        outstanding.update(pages)
         self.prefetched += len(pages)
         self.window = min(self.window * 2, MAX_WINDOW)
         return pages

@@ -69,11 +69,11 @@ class WritebackDaemon:
                 if flushed >= max_pages:
                     break
                 page = dirty.pop(index, None)  # None: reclaimed mid-flush
-                if page is not None and page.dirty:
+                if page is not None and page.obj.frame.dirty:
                     # One background page write: (nbytes, write, sequential,
                     # inode, cpu, background).
                     submit(PAGE_SIZE, True, True, None, 0, True)
-                    page.clean()
+                    page.obj.frame.dirty = False
                     flushed += 1
         self.pages_flushed += flushed
         return flushed

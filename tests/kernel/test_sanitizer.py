@@ -217,7 +217,7 @@ def _clean_cached_page(kernel):
     fs.write(fh, 0, 4 * 4096)
     fs.fsync(fh)
     cache = fs.cache_mgr.cache_for(fh.inode.ino)
-    page = cache.lookup(2)
+    page = cache.tree.lookup(2)
     assert page is not None and not page.dirty
     return cache, page
 

@@ -107,8 +107,8 @@ def test_pagecache_manager_never_evicts_hot_before_cold(data):
     for i in range(n):
         obj = kernel.alloc_object(KernelObjectType.PAGE_CACHE)
         page = CachePage(obj, 1, i)
-        cache.insert(page)
-        mgr.note_insert(page)
+        cache.tree.insert(i, page)
+        mgr.lru.insert(page)
         pages.append(page)
     hot_indexes = set(
         data.draw(
@@ -118,7 +118,7 @@ def test_pagecache_manager_never_evicts_hot_before_cold(data):
         )
     )
     for i in hot_indexes:
-        mgr.note_access(pages[i])  # promotes to active
+        mgr.lru.touch(pages[i])  # promotes to active
     want = data.draw(st.integers(min_value=1, max_value=n))
     victims = [p.index for _c, p in mgr.eviction_victims(want)]
     cold = [i for i in range(n) if i not in hot_indexes]

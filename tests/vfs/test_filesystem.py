@@ -130,8 +130,8 @@ class TestDataPath:
         fs.write(fh, 0, 2 * PAGE_SIZE)
         # Manually evict page 0 (as reclaim would).
         cache = fs.cache_mgr.cache_for(fh.inode.ino)
-        page = cache.lookup(0)
-        fs.cache_mgr.note_remove(page)
+        page = cache.tree.lookup(0)
+        fs.cache_mgr.lru.remove(page)
         cache.remove(0)
         kernel.free_object(page.obj)
         reads_before = kernel.storage.reads
@@ -180,7 +180,7 @@ class TestReadahead:
         # Drop the cache to force misses.
         cache = fs.cache_mgr.cache_for(fh.inode.ino)
         for page in cache.pages():
-            fs.cache_mgr.note_remove(page)
+            fs.cache_mgr.lru.remove(page)
             cache.remove(page.index)
             kernel.free_object(page.obj)
         for i in range(6):

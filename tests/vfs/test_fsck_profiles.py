@@ -36,7 +36,7 @@ class TestConsistencyChecker:
     def test_detects_freed_cached_page(self, fs):
         fh = fs.create("/a")
         fs.write(fh, 0, PAGE_SIZE)
-        page = fs.cache_mgr.cache_for(fh.inode.ino).lookup(0)
+        page = fs.cache_mgr.cache_for(fh.inode.ino).tree.lookup(0)
         fs.ctx.free_object(page.obj)  # freed behind the cache's back
         with pytest.raises(VFSError):
             fs.check_consistency()
@@ -44,8 +44,8 @@ class TestConsistencyChecker:
     def test_detects_lru_count_drift(self, fs):
         fh = fs.create("/a")
         fs.write(fh, 0, PAGE_SIZE)
-        page = fs.cache_mgr.cache_for(fh.inode.ino).lookup(0)
-        fs.cache_mgr.note_remove(page)  # LRU and cache now disagree
+        page = fs.cache_mgr.cache_for(fh.inode.ino).tree.lookup(0)
+        fs.cache_mgr.lru.remove(page)  # LRU and cache now disagree
         with pytest.raises(VFSError):
             fs.check_consistency()
 

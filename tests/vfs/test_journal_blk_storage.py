@@ -114,10 +114,17 @@ class TestBlockMQ:
 
 
 class TestExtentTree:
-    def test_span_mapping(self):
-        assert ExtentTree.span_for_page(0) == 0
-        assert ExtentTree.span_for_page(EXTENT_SPAN_PAGES - 1) == 0
-        assert ExtentTree.span_for_page(EXTENT_SPAN_PAGES) == 1
+    def test_span_mapping(self, kernel):
+        """Pages map to fixed spans of EXTENT_SPAN_PAGES, one extent each."""
+        tree = ExtentTree()
+        first = kernel.alloc_object(KernelObjectType.EXTENT)
+        second = kernel.alloc_object(KernelObjectType.EXTENT)
+        tree.insert(EXTENT_SPAN_PAGES - 1, first)
+        tree.insert(2 * EXTENT_SPAN_PAGES, second)
+        assert tree.lookup(0) is first
+        assert tree.lookup(EXTENT_SPAN_PAGES) is None
+        assert tree.lookup(3 * EXTENT_SPAN_PAGES - 1) is second
+        assert len(tree) == 2
 
     def test_lookup_insert(self, kernel):
         tree = ExtentTree()

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.errors import SimulationError
 from repro.core.objtypes import KernelObjectType
+from repro.core.units import PAGE_SIZE
+from repro.vfs.filesystem import Filesystem
 from repro.vfs.pagecache import CachePage, PageCache, PageCacheManager
 from tests.fakes import FakeKernel
 
@@ -24,7 +26,7 @@ def make_cache(kernel, ino=1):
 def make_page(kernel, cache, index):
     obj = kernel.alloc_object(KernelObjectType.PAGE_CACHE)
     page = CachePage(obj, cache.ino, index)
-    cache.insert(page)
+    assert cache.tree.insert(index, page)
     return page
 
 
@@ -32,14 +34,17 @@ class TestPageCache:
     def test_insert_lookup(self, kernel):
         cache = make_cache(kernel)
         page = make_page(kernel, cache, 5)
-        assert cache.lookup(5) is page
-        assert cache.lookup(6) is None
+        assert cache.tree.lookup(5) is page
+        assert cache.tree.lookup(6) is None
 
     def test_duplicate_insert_rejected(self, kernel):
-        cache = make_cache(kernel)
-        make_page(kernel, cache, 5)
+        """The fill that inserts a new page refuses an index already cached."""
+        fs = Filesystem(kernel)
+        fh = fs.create("/a")
+        fs.write(fh, 0, 1)
+        cache = fs.cache_mgr.cache_for(fh.inode.ino)
         with pytest.raises(SimulationError):
-            make_page(kernel, cache, 5)
+            fs._fill_page(cache, fh.inode, 0, 0, False)  # noqa: SLF001
 
     def test_radix_nodes_are_kernel_objects(self, kernel):
         cache = make_cache(kernel)
@@ -92,13 +97,16 @@ class TestPageCacheManager:
             mgr.register(make_cache(kernel, ino=1))
 
     def test_pressure_accounting(self, kernel):
-        mgr = PageCacheManager(max_pages=2)
-        cache = make_cache(kernel, ino=1)
-        mgr.register(cache)
-        for i in range(2):
-            mgr.note_insert(make_page(kernel, cache, i))
-        assert mgr.over_pressure() == 1
-        assert mgr.over_pressure(incoming=0) == 0
+        """A fill past the cap evicts exactly the excess, coldest first."""
+        fs = Filesystem(kernel, page_cache_max_pages=2)
+        mgr = fs.cache_mgr
+        fh = fs.create("/a")
+        fs.write(fh, 0, 2 * PAGE_SIZE)
+        assert (mgr.total_pages, mgr.inserted, mgr.evicted) == (2, 2, 0)
+        fs.write(fh, 2 * PAGE_SIZE, PAGE_SIZE)
+        assert (mgr.total_pages, mgr.inserted, mgr.evicted) == (2, 3, 1)
+        cache = mgr.cache_for(fh.inode.ino)
+        assert [p.index for p in cache.pages()] == [1, 2]
 
     def test_eviction_victims_cold_first(self, kernel):
         mgr = PageCacheManager(max_pages=10)
@@ -106,19 +114,21 @@ class TestPageCacheManager:
         mgr.register(cache)
         pages = [make_page(kernel, cache, i) for i in range(3)]
         for p in pages:
-            mgr.note_insert(p)
-        mgr.note_access(pages[0])  # promote → survives
+            mgr.lru.insert(p)
+        mgr.lru.touch(pages[0])  # promote → survives
         victims = [p for _c, p in mgr.eviction_victims(2)]
         assert pages[0] not in victims
         assert len(victims) == 2
 
     def test_note_remove(self, kernel):
+        """Dropping a page from the manager's LRU drops it from the count."""
         mgr = PageCacheManager(max_pages=10)
         cache = make_cache(kernel, ino=1)
         mgr.register(cache)
         page = make_page(kernel, cache, 0)
-        mgr.note_insert(page)
-        mgr.note_remove(page)
+        mgr.lru.insert(page)
+        assert mgr.total_pages == 1
+        mgr.lru.remove(page)
         assert mgr.total_pages == 0
 
     def test_victims_skip_unregistered_caches(self, kernel):
@@ -126,7 +136,7 @@ class TestPageCacheManager:
         cache = make_cache(kernel, ino=1)
         mgr.register(cache)
         page = make_page(kernel, cache, 0)
-        mgr.note_insert(page)
+        mgr.lru.insert(page)
         mgr.unregister(1)
         assert mgr.eviction_victims(1) == []
 

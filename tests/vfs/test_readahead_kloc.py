@@ -24,7 +24,7 @@ def sequential_read_after_drop(kernel, nbytes=64 * PAGE_SIZE):
     kernel.fs.fsync(fh)
     cache = kernel.fs.cache_mgr.cache_for(fh.inode.ino)
     for page in cache.pages():
-        kernel.fs.cache_mgr.note_remove(page)
+        kernel.fs.cache_mgr.lru.remove(page)
         cache.remove(page.index)
         kernel.free_object(page.obj)
     for i in range(nbytes // PAGE_SIZE):
@@ -74,7 +74,7 @@ class TestPrefetchHook:
         kernel.kloc_daemon.downgrade_knode(knode)
         cache = kernel.fs.cache_mgr.cache_for(fh.inode.ino)
         for page in cache.pages():
-            kernel.fs.cache_mgr.note_remove(page)
+            kernel.fs.cache_mgr.lru.remove(page)
             cache.remove(page.index)
             kernel.free_object(page.obj)
         slow_before = sum(
