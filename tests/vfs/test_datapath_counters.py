@@ -22,9 +22,9 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
+from tests.golden.grid import SCALE_FACTOR, SEED, _captured_kernel
+
 FIXTURE = Path(__file__).resolve().parent / "datapath_counters.json"
-SEED = 42
-SCALE_FACTOR = 1024
 
 #: (workload, policy, ops): two cells at the golden grid's 600 ops, plus
 #: the golden eviction cells' 20,000-op rocksdb shape, which runs past
@@ -42,7 +42,7 @@ def cell_id(workload: str, policy: str, ops: int) -> str:
 
 @contextmanager
 def _recording(module: Any, names: Tuple[str, ...]) -> Iterator[Dict[str, list]]:
-    """Replace each class ``module.<name>`` by a subclass that records
+    """Replace each class ``module.<name>`` by a factory that records
     every instance built through the module's name."""
     built: Dict[str, list] = {name: [] for name in names}
     originals = {name: getattr(module, name) for name in names}
@@ -67,22 +67,12 @@ def counters(workload: str, policy: str, ops: int) -> Dict[str, int]:
     import repro.experiments.runner as runner
     import repro.vfs.filesystem as filesystem
 
-    build = runner.build_two_tier_kernel
-    kernels: list = []
-
-    def capture(*args: Any, **kwargs: Any) -> Any:
-        kernel, pol = build(*args, **kwargs)
-        kernels.append(kernel)
-        return kernel, pol
-
-    runner.build_two_tier_kernel = capture
-    try:
-        with _recording(filesystem, ("PageCache", "ExtentTree", "FileHandle")) as built:
-            runner.run_two_tier(
-                workload, policy, ops=ops, scale_factor=SCALE_FACTOR, run_seed=SEED
-            )
-    finally:
-        runner.build_two_tier_kernel = build
+    with _captured_kernel(runner, "build_two_tier_kernel") as kernels, _recording(
+        filesystem, ("PageCache", "ExtentTree", "FileHandle")
+    ) as built:
+        runner.run_two_tier(
+            workload, policy, ops=ops, scale_factor=SCALE_FACTOR, run_seed=SEED
+        )
     (kernel,) = kernels
     fs = kernel.fs
     lru = fs.cache_mgr.lru
