@@ -4,12 +4,13 @@ The filesystem and network stacks do not decide *where* memory comes from
 or what a reference costs — they ask the kernel, which consults the
 active tiering policy and the KLOC machinery. This protocol is that
 interface; :class:`repro.kernel.kernel.Kernel` is the one real
-implementation, and tests use lightweight fakes.
+implementation, and ``tests.fakes.FakeKernel`` the test double. Every
+service here is required: subsystems call them unconditionally.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 if TYPE_CHECKING:
     from repro.alloc.base import KernelObject
@@ -17,6 +18,29 @@ if TYPE_CHECKING:
     from repro.core.objtypes import KernelObjectType
     from repro.mem.frame import PageFrame
     from repro.vfs.inode import Inode
+
+
+class AccessWindow(Protocol):
+    """A charging window for a loop of object charges
+    (:class:`repro.kernel.kernel.AccessBatch`): each item is charged at the
+    virtual time a plain call would see, and the clock advances coalesce.
+    ``sync`` flushes the deferred time before out-of-band clock work;
+    ``close`` flushes it at the end of the loop."""
+
+    def access_object(
+        self,
+        obj: "KernelObject",
+        nbytes: Optional[int] = None,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int: ...
+
+    def free_object(self, obj: "KernelObject", *, cpu: int = 0) -> None: ...
+
+    def sync(self) -> None: ...
+
+    def close(self) -> None: ...
 
 
 class KernelContext(Protocol):
@@ -39,8 +63,18 @@ class KernelContext(Protocol):
         attach it to the inode's knode."""
         ...
 
-    def free_object(self, obj: "KernelObject", *, cpu: int = 0) -> None:
-        """Release a kernel object (and its knode membership)."""
+    def free_object(
+        self, obj: "KernelObject", *, cpu: int = 0, now_ns: Optional[int] = None
+    ) -> int:
+        """Release a kernel object (and its knode membership); return the
+        allocator's CPU cost. With ``now_ns`` the free runs at that virtual
+        time and the cost is only returned, not advanced."""
+        ...
+
+    def adopt_object(
+        self, obj: "KernelObject", inode: "Inode", *, cpu: int = 0
+    ) -> None:
+        """Attach an object allocated before its inode existed."""
         ...
 
     # -- references ------------------------------------------------------
@@ -63,12 +97,27 @@ class KernelContext(Protocol):
         """One reference to a raw frame (application pages)."""
         ...
 
-    # -- application memory ----------------------------------------------
-    def alloc_app_pages(self, npages: int, *, cpu: int = 0) -> List["PageFrame"]:
+    def access_frames(
+        self,
+        frames: Sequence["PageFrame"],
+        nbytes: int,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int:
+        """Charge ``nbytes`` across a run of frames, a page per frame."""
         ...
 
-    def free_app_pages(self, frames: List["PageFrame"]) -> None:
+    def begin_access_batch(self) -> AccessWindow:
+        """Open a charging window for a loop of object charges."""
         ...
+
+    # -- application memory ----------------------------------------------
+    def alloc_app_pages(
+        self, npages: int, *, cpu: int = 0, huge: bool = False
+    ) -> List["PageFrame"]: ...
+
+    def free_app_pages(self, frames: List["PageFrame"]) -> None: ...
 
     # -- storage -----------------------------------------------------------
     def storage_io(
@@ -79,14 +128,14 @@ class KernelContext(Protocol):
         ...
 
     # -- inode / KLOC lifecycle hooks ---------------------------------------
-    def on_inode_create(self, inode: "Inode", *, cpu: int = 0) -> None:
-        ...
+    def on_inode_create(self, inode: "Inode", *, cpu: int = 0) -> None: ...
 
-    def on_inode_open(self, inode: "Inode", *, cpu: int = 0) -> None:
-        ...
+    def on_inode_open(self, inode: "Inode", *, cpu: int = 0) -> None: ...
 
-    def on_inode_close(self, inode: "Inode", *, cpu: int = 0) -> None:
-        ...
+    def on_inode_close(self, inode: "Inode", *, cpu: int = 0) -> None: ...
 
-    def on_inode_unlink(self, inode: "Inode", *, cpu: int = 0) -> None:
+    def on_inode_unlink(self, inode: "Inode", *, cpu: int = 0) -> None: ...
+
+    def notify_prefetch(self, inode: "Inode", npages: int) -> None:
+        """Readahead fetched ``npages`` of this inode."""
         ...

@@ -168,8 +168,6 @@ class Kernel:
         # Metric counters (Fig 2c's reference attribution and the access
         # time decomposition), zeroed by reset_reference_counters.
         self.reset_reference_counters()
-        self.storage_ns_total = 0
-        self.background_ns_total = 0
         #: Optional tracepoint sink (repro.core.trace.Tracer); costs one
         #: None-check per event when unset.
         self.tracer = None
@@ -247,14 +245,13 @@ class Kernel:
         :class:`AccessBatch`: the free executes at that virtual time and
         the allocator's (constant) CPU cost is only *returned* — the batch
         owns the coalesced advance. Plain calls (``now_ns=None``) advance
-        inside the allocator. The batch is never handed out while a
-        tracer is attached, so only plain calls emit the free event.
+        inside the allocator. The free event is stamped with the free's
+        own virtual time in both cases.
         """
-        if now_ns is None and self.tracer is not None:
-            now = self.clock.now()
-            self.tracer.emit(
-                now, "free", obj.otype.name, lifetime_ns=obj.lifetime_ns(now)
-            )
+        tracer = self.tracer
+        if tracer is not None:
+            now = self.clock.now() if now_ns is None else now_ns
+            tracer.emit(now, "free", obj.otype.name, lifetime_ns=obj.lifetime_ns(now))
         if self.kloc_manager is not None and obj.knode_id is not None:
             self.kloc_manager.remove_object(obj, cpu=cpu)
         return self._free_route[obj.allocator](obj, now_ns)
@@ -424,11 +421,8 @@ class Kernel:
         self.kernel_ref_bytes += kern_bytes
         return total
 
-    def begin_access_batch(self) -> Optional["AccessBatch"]:
-        """Open a deferred-advance charging window, or None while a tracer
-        is attached (its events must see exact per-event clock values)."""
-        if self.tracer is not None:
-            return None
+    def begin_access_batch(self) -> "AccessBatch":
+        """Open a deferred-advance charging window."""
         return AccessBatch(self)
 
     # ------------------------------------------------------------------
@@ -599,9 +593,11 @@ class Kernel:
         return out
 
     def reset_reference_counters(self) -> None:
-        """Zero the Fig 2c attribution counters and the access-time
-        decomposition (called after a workload's load phase so
-        measurements cover steady state only)."""
+        """Zero the Fig 2c attribution counters and the time decomposition:
+        access, storage and background ns (called after a workload's load
+        phase so measurements cover steady state only)."""
+        self.storage_ns_total = 0
+        self.background_ns_total = 0
         self.kernel_refs = 0
         self.kernel_ref_bytes = 0
         self.app_refs = 0

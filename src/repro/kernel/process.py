@@ -26,10 +26,8 @@ class Process:
         self.kernel = kernel
         self.name = name
         self._regions: Dict[str, List[PageFrame]] = {}
-        # Bound once: contexts without the batched API (test fakes) get
-        # the per-frame loop in touch().
-        self._access_frames = getattr(kernel, "access_frames", None)
-        self._access_frame = getattr(kernel, "access_frame", None)
+        self._access_frames = kernel.access_frames
+        self._access_frame = kernel.access_frame
 
     def alloc_region(
         self, name: str, nbytes: int, *, cpu: int = 0, huge: bool = False
@@ -85,21 +83,6 @@ class Process:
             raise SimulationError(f"no region {name!r} in {self.name}")
         n = len(frames)
         index = page_hint % n
-        access_frames = self._access_frames
-        if access_frames is None:
-            # Context without the batched API (test fakes): per-frame loop.
-            cost = 0
-            remaining = nbytes
-            while remaining > 0:
-                chunk = min(remaining, PAGE_SIZE)
-                frame = frames[index]
-                if frame.live:
-                    cost += self.kernel.access_frame(
-                        frame, chunk, write=write, cpu=cpu
-                    )
-                remaining -= chunk
-                index = (index + 1) % n
-            return cost
         if nbytes <= PAGE_SIZE:
             # Single-page touch (the common case for point operations):
             # one direct charge, no run list.
@@ -109,10 +92,10 @@ class Process:
             return self._access_frame(frame, nbytes, write=write, cpu=cpu)
         # Build the run of live frames in access order, then charge it in
         # one batched call. Only the final chunk can be partial, so the
-        # batch's PAGE_SIZE-chunking reproduces this loop's chunks exactly;
-        # skipped (dead) frames drop their chunk from the charged total,
-        # as before. Prechecking liveness is safe: nothing that runs during
-        # the charges (daemons) frees anonymous app frames.
+        # batch's PAGE_SIZE-chunking gives each frame the chunk it would
+        # get one page at a time; skipped (dead) frames drop their chunk
+        # from the charged total. Prechecking liveness is safe: nothing
+        # that runs during the charges (daemons) frees anonymous app frames.
         run: List[PageFrame] = []
         charge = 0
         remaining = nbytes
@@ -126,7 +109,7 @@ class Process:
             index += 1
             if index == n:
                 index = 0
-        return access_frames(run, charge, write=write, cpu=cpu)
+        return self._access_frames(run, charge, write=write, cpu=cpu)
 
     def total_pages(self) -> int:
         return sum(len(frames) for frames in self._regions.values())

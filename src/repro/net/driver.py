@@ -96,7 +96,8 @@ class NICDriver:
         # NIC DMA writes the payload into the driver buffer.
         self.ctx.access_object(data, nbytes, write=True, cpu=cpu)
         if inode is not None:
-            self._reassociate(data, inode)
+            # Charge the generically allocated buffer to the socket's knode.
+            self.ctx.adopt_object(data, inode)
 
         header = self.ctx.alloc_object(KernelObjectType.SKBUFF, inode, cpu=cpu)
         self.ctx.access_object(header, write=True, cpu=cpu)
@@ -122,12 +123,6 @@ class NICDriver:
         """Free all ring buffers (device teardown)."""
         while self._ring:
             self.ctx.free_object(self._ring.popleft(), cpu=cpu)
-
-    def _reassociate(self, obj: KernelObject, inode: "Inode") -> None:
-        """Charge a generically-allocated buffer to the socket's knode."""
-        adopt = getattr(self.ctx, "adopt_object", None)
-        if adopt is not None:
-            adopt(obj, inode)
 
     @property
     def ring_level(self) -> int:

@@ -111,7 +111,8 @@ class Filesystem:
         inode_obj = self.ctx.alloc_object(KernelObjectType.INODE, None, cpu=cpu)
         inode = self.inodes.create(backing=inode_obj, now_ns=self.ctx.clock.now())
         self.ctx.on_inode_create(inode, cpu=cpu)
-        self._adopt_object(inode_obj, inode)
+        # The inode structure was allocated before its knode existed.
+        self.ctx.adopt_object(inode_obj, inode)
 
         dentry_obj = self.ctx.alloc_object(KernelObjectType.DENTRY, inode, cpu=cpu)
         self.ctx.access_object(dentry_obj, write=True, cpu=cpu)
@@ -267,8 +268,8 @@ class Filesystem:
 
         :meth:`write`'s loop shape; a miss instead goes to disk (extent
         lookup, one bio, a fill), and each page ends with one readahead
-        update. Charges go through the kernel's deferred-advance window
-        when it offers one; misses and fetches sync it first.
+        update. Charges go through the kernel's deferred-advance window;
+        misses and fetches sync it first.
         """
         if handle.closed:
             raise VFSError(f"fd {handle.fd} is closed")
@@ -282,9 +283,7 @@ class Filesystem:
             return 0
 
         ctx = self.ctx
-        begin = getattr(ctx, "begin_access_batch", None)
-        batch = begin() if begin is not None else None
-        charge = ctx if batch is None else batch
+        batch = ctx.begin_access_batch()
         tree = cache.tree
         lru = self.cache_mgr.lru
         readahead = handle.readahead if self.readahead_enabled else None
@@ -293,8 +292,7 @@ class Filesystem:
         for index in range(offset // PAGE_SIZE, (limit - 1) // PAGE_SIZE + 1):
             page = tree.lookup(index)
             if page is None:
-                if batch is not None:
-                    batch.sync()
+                batch.sync()
                 self.cache_misses += 1
                 extent = self._extents[inode.ino].lookup(index)
                 if extent is not None:
@@ -306,9 +304,9 @@ class Filesystem:
                 lru.touch(page)
                 token = tree.root.token
                 if token is not None and token.freed_at is None:
-                    charge.access_object(token, 64, cpu=cpu)
+                    batch.access_object(token, 64, cpu=cpu)
             page_end = (index + 1) * PAGE_SIZE
-            charge.access_object(
+            batch.access_object(
                 page.obj, (page_end if page_end < limit else limit) - pos, cpu=cpu
             )
             pos = page_end
@@ -321,8 +319,7 @@ class Filesystem:
                 if to_fetch:
                     self._readahead(cache, inode, to_fetch, cpu, batch)
 
-        if batch is not None:
-            batch.close()
+        batch.close()
         inode.atime = ctx.clock.now()
         return limit - offset
 
@@ -401,17 +398,14 @@ class Filesystem:
         self, cache: PageCache, inode: Inode, to_fetch: List[int], cpu: int, batch
     ) -> None:
         """Fetch the uncached pages of a readahead window."""
-        if batch is not None:
-            # The fetch does real clock work (bios, page fills): flush the
-            # deferred window so it starts at the unbatched virtual time.
-            batch.sync()
+        # The fetch does real clock work (bios, page fills): flush the
+        # deferred window so it starts at the window's virtual time.
+        batch.sync()
         # One sequential bio brings the whole window in asynchronously.
         self.blk.submit(len(to_fetch) * PAGE_SIZE, False, True, inode, cpu, True)
         for i in to_fetch:
             self._fill_page(cache, inode, i, cpu, True)
-        notify = getattr(self.ctx, "notify_prefetch", None)
-        if notify is not None:
-            notify(inode, len(to_fetch))
+        self.ctx.notify_prefetch(inode, len(to_fetch))
 
     # ------------------------------------------------------------------
     # introspection
@@ -475,10 +469,3 @@ class Filesystem:
             f"Filesystem(files={self.file_count()}, "
             f"cached_pages={self.cache_mgr.total_pages})"
         )
-
-    def _adopt_object(self, obj, inode: Inode) -> None:
-        """Attach a pre-knode allocation (the inode structure itself) to
-        the knode created for this inode."""
-        adopt = getattr(self.ctx, "adopt_object", None)
-        if adopt is not None:
-            adopt(obj, inode)

@@ -8,7 +8,7 @@ standing up the full kernel.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.alloc.base import KernelObject
 from repro.alloc.buddy import PageAllocator
@@ -67,12 +67,16 @@ class FakeKernel:
             return self.slab.alloc(otype, self.tier_order, knode_id=knode_id)
         return self.pages.alloc_object(otype, self.tier_order, knode_id=knode_id)
 
-    def free_object(self, obj: KernelObject, *, cpu: int = 0) -> None:
+    def free_object(
+        self, obj: KernelObject, *, cpu: int = 0, now_ns: Optional[int] = None
+    ) -> int:
         self.freed_objects.append(obj)
         if obj.allocator == "slab":
-            self.slab.free(obj)
-        else:
-            self.pages.free_object(obj)
+            return self.slab.free(obj, now_ns)
+        return self.pages.free_object(obj, now_ns)
+
+    def adopt_object(self, obj: KernelObject, inode, *, cpu: int = 0) -> None:
+        pass
 
     # -- references ------------------------------------------------------
 
@@ -104,9 +108,40 @@ class FakeKernel:
         self.clock.advance(cost)
         return cost
 
+    def access_frames(
+        self,
+        frames: Sequence[PageFrame],
+        nbytes: int,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int:
+        cost = 0
+        for frame in frames:
+            if nbytes <= 0:
+                break
+            chunk = min(nbytes, PAGE_SIZE)
+            cost += self.access_frame(frame, chunk, write=write, cpu=cpu)
+            nbytes -= chunk
+        return cost
+
+    def begin_access_batch(self) -> "FakeKernel":
+        """The fake charges every call at once, so it is its own window."""
+        return self
+
+    def sync(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
     # -- application memory ----------------------------------------------
 
-    def alloc_app_pages(self, npages: int, *, cpu: int = 0) -> List[PageFrame]:
+    def alloc_app_pages(
+        self, npages: int, *, cpu: int = 0, huge: bool = False
+    ) -> List[PageFrame]:
+        if huge:
+            raise NotImplementedError("the fake has no transparent huge pages")
         return self.pages.alloc_frames(npages, self.tier_order, PageOwner.APP)
 
     def free_app_pages(self, frames: List[PageFrame]) -> None:
@@ -135,3 +170,6 @@ class FakeKernel:
 
     def on_inode_unlink(self, inode, *, cpu: int = 0) -> None:
         self.unlinked_inodes.append(inode)
+
+    def notify_prefetch(self, inode, npages: int) -> None:
+        pass

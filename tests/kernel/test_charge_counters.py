@@ -93,3 +93,38 @@ def test_both_reports_sum_to_all_references(recounted):
     assert sum(kernel.refs_by_tier.values()) == total
     assert sum(kernel.refs_by_owner.values()) == total
     assert kernel.refs_by_owner[PageOwner.APP] == kernel.app_refs
+
+
+def test_reset_leaves_only_the_measured_storage_and_background_time(monkeypatch):
+    """``storage_ns_total`` and ``background_ns_total`` are zeroed with
+    the other reference counters, so after a measured run each holds
+    exactly what the measured phase charged."""
+    from repro.kernel.kernel import Kernel
+
+    charged = Counter()
+    storage_io = Kernel.storage_io
+    background_cpu_work = Kernel.background_cpu_work
+
+    def counting_io(self, *args, **kwargs):
+        cost = storage_io(self, *args, **kwargs)
+        charged["storage"] += cost
+        return cost
+
+    def counting_background(self, cost_ns):
+        charged["background"] += cost_ns // self.num_cpus if cost_ns > 0 else 0
+        background_cpu_work(self, cost_ns)
+
+    # Patched on the class: the KLOC daemon binds background_cpu_work
+    # when the kernel is built.
+    monkeypatch.setattr(Kernel, "storage_io", counting_io)
+    monkeypatch.setattr(Kernel, "background_cpu_work", counting_background)
+    kernel, _ = build_two_tier_kernel("klocs", scale_factor=SCALE, seed=42)
+    wl = make_workload(kernel, "rocksdb", scale_factor=SCALE)
+    wl.setup()
+    assert kernel.storage_ns_total > 0 and kernel.background_ns_total > 0
+    kernel.reset_reference_counters()
+    charged.clear()
+    wl.run(2000)
+    assert charged["storage"] > 0 and charged["background"] > 0
+    assert kernel.storage_ns_total == charged["storage"]
+    assert kernel.background_ns_total == charged["background"]
