@@ -112,17 +112,15 @@ class PageAllocator:
         return KernelObject(oid, otype, knode_id, frame, "page", now)
 
     @hot
-    def free_object(self, obj: KernelObject, now_ns: Optional[int] = None) -> int:
-        """Free one page-backed object. ``now_ns`` defers the clock work
-        to the caller (batched charge windows): the free executes at that
-        virtual time and the constant CPU cost is returned without
-        advancing."""
+    def free_object(self, obj: KernelObject) -> int:
+        """Free one page-backed object; advances the clock by its CPU cost
+        and returns it."""
         san = self._san
         if san is not None:
             san.on_object_free(obj, self.family, site=call_site(2))
         if obj.freed_at is not None:
             raise SimulationError(f"double free of {obj!r}")
-        now = self.clock.now() if now_ns is None else now_ns
+        now = self.clock.now()
         obj.freed_at = now
         self.topology.free(obj.frame, now)
         stats = self.stats
@@ -131,8 +129,7 @@ class PageAllocator:
         stats.lifetimes.record(obj.otype, now - obj.allocated_at)
         if san is not None:
             san.poison_object(obj)
-        if now_ns is None:
-            self.clock.advance(_PAGE_FREE_COST)
+        self.clock.advance(_PAGE_FREE_COST)
         return _PAGE_FREE_COST
 
     def __repr__(self) -> str:

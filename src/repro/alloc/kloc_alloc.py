@@ -116,10 +116,8 @@ class KlocAllocator:
         return KernelObject(oid, otype, knode_id, page.frame, "kloc", now)
 
     @hot
-    def free(self, obj: KernelObject, now_ns: Optional[int] = None) -> int:
-        """Free one object. ``now_ns`` defers the clock work to the caller
-        (batched charge windows): the free executes at that virtual time
-        and the constant CPU cost is returned without advancing."""
+    def free(self, obj: KernelObject) -> int:
+        """Free one object; advances the clock by its CPU cost and returns it."""
         san = self._san
         if san is not None:
             san.on_object_free(obj, self.family, site=call_site(2))
@@ -128,7 +126,7 @@ class KlocAllocator:
         page = self._page_of.pop(obj.oid, None)
         if page is None:
             raise SimulationError(f"{obj!r} was not allocated here")
-        now = self.clock.now() if now_ns is None else now_ns
+        now = self.clock.now()
         obj.freed_at = now
         page.live.discard(obj.oid)
         page.used_bytes -= self._size_of.pop(obj.oid, 0)
@@ -153,8 +151,7 @@ class KlocAllocator:
         stats.lifetimes.record(obj.otype, now - obj.allocated_at)
         if san is not None:
             san.poison_object(obj)
-        if now_ns is None:
-            self.clock.advance(_KLOC_FREE_COST)
+        self.clock.advance(_KLOC_FREE_COST)
         return _KLOC_FREE_COST
 
     def knode_frames(self, knode_id: Optional[int]) -> List[PageFrame]:

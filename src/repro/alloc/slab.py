@@ -120,14 +120,9 @@ class SlabAllocator:
         return KernelObject(oid, otype, knode_id, page.frame, "slab", now)
 
     @hot
-    def free(self, obj: KernelObject, now_ns: Optional[int] = None) -> int:
+    def free(self, obj: KernelObject) -> int:
         """Release an object; empty slab pages return to the page pool.
-
-        ``now_ns`` defers the clock work to the caller: the free executes
-        at that virtual time and the (constant) CPU cost is returned
-        without advancing — used by batched charge windows. Plain calls
-        advance the clock themselves, as before. Returns the cost either
-        way."""
+        Advances the clock by the free's CPU cost and returns it."""
         san = self._san
         if san is not None:
             san.on_object_free(obj, self.family, site=call_site(2))
@@ -136,7 +131,7 @@ class SlabAllocator:
         page = self._page_of.pop(obj.oid, None)
         if page is None:
             raise SimulationError(f"{obj!r} was not allocated here")
-        now = self.clock.now() if now_ns is None else now_ns
+        now = self.clock.now()
         obj.freed_at = now
         live = page.live
         cache = self._caches[obj.otype]
@@ -155,8 +150,7 @@ class SlabAllocator:
         stats.lifetimes.record(obj.otype, now - obj.allocated_at)
         if san is not None:
             san.poison_object(obj)
-        if now_ns is None:
-            self.clock.advance(_SLAB_FREE_COST)
+        self.clock.advance(_SLAB_FREE_COST)
         return _SLAB_FREE_COST
 
     def live_pages(self) -> int:

@@ -49,21 +49,6 @@ class Clock:
         """Current virtual time in seconds (for reporting only)."""
         return self._now / SEC
 
-    @property
-    def next_deadline_ns(self) -> float:
-        """Earliest pending periodic deadline (``inf`` when none).
-
-        Public read-only view of the cached minimum used by
-        :meth:`advance`'s fast path. Batched charge paths compare a run's
-        total cost against this to decide whether a single deferred
-        advance can stand in for per-item advances: while
-        ``now + total < next_deadline_ns`` no daemon can fire, so the
-        per-item and batched executions are indistinguishable. It reads
-        ``inf`` while a daemon fires: nothing can fire inside a callback
-        (the firing loop picks up whatever fell due once it returns).
-        """
-        return self._next_deadline
-
     @hot
     def advance(self, delta_ns: int) -> int:
         """Advance the clock by ``delta_ns`` and fire any due periodic work.

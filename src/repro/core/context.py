@@ -10,7 +10,7 @@ service here is required: subsystems call them unconditionally.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, List, Optional, Protocol
 
 if TYPE_CHECKING:
     from repro.alloc.base import KernelObject
@@ -18,29 +18,6 @@ if TYPE_CHECKING:
     from repro.core.objtypes import KernelObjectType
     from repro.mem.frame import PageFrame
     from repro.vfs.inode import Inode
-
-
-class AccessWindow(Protocol):
-    """A charging window for a loop of object charges
-    (:class:`repro.kernel.kernel.AccessBatch`): each item is charged at the
-    virtual time a plain call would see, and the clock advances coalesce.
-    ``sync`` flushes the deferred time before out-of-band clock work;
-    ``close`` flushes it at the end of the loop."""
-
-    def access_object(
-        self,
-        obj: "KernelObject",
-        nbytes: Optional[int] = None,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int: ...
-
-    def free_object(self, obj: "KernelObject", *, cpu: int = 0) -> None: ...
-
-    def sync(self) -> None: ...
-
-    def close(self) -> None: ...
 
 
 class KernelContext(Protocol):
@@ -63,12 +40,9 @@ class KernelContext(Protocol):
         attach it to the inode's knode."""
         ...
 
-    def free_object(
-        self, obj: "KernelObject", *, cpu: int = 0, now_ns: Optional[int] = None
-    ) -> int:
-        """Release a kernel object (and its knode membership); return the
-        allocator's CPU cost. With ``now_ns`` the free runs at that virtual
-        time and the cost is only returned, not advanced."""
+    def free_object(self, obj: "KernelObject", *, cpu: int = 0) -> int:
+        """Release a kernel object (and its knode membership); advance the
+        clock by the allocator's CPU cost and return it."""
         ...
 
     def adopt_object(
@@ -95,21 +69,6 @@ class KernelContext(Protocol):
         self, frame: "PageFrame", nbytes: int, *, write: bool = False, cpu: int = 0
     ) -> int:
         """One reference to a raw frame (application pages)."""
-        ...
-
-    def access_frames(
-        self,
-        frames: Sequence["PageFrame"],
-        nbytes: int,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int:
-        """Charge ``nbytes`` across a run of frames, a page per frame."""
-        ...
-
-    def begin_access_batch(self) -> AccessWindow:
-        """Open a charging window for a loop of object charges."""
         ...
 
     # -- application memory ----------------------------------------------

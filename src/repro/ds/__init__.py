@@ -1,18 +1,4 @@
-"""Kernel data structures: red-black tree, radix tree, LRU lists,
-per-CPU lists, and a minimal RCU model — the building blocks §4.2 reuses
-("we rely on principled use of data structures already widely employed in
-real-world OS kernels")."""
-
-from repro.ds.lru import ActiveInactiveLRU
-from repro.ds.percpu import PerCPUListSet
-from repro.ds.radix import RadixTree
-from repro.ds.rbtree import RedBlackTree
-from repro.ds.rcu import RCUDomain
-
-__all__ = [
-    "RedBlackTree",
-    "RadixTree",
-    "ActiveInactiveLRU",
-    "PerCPUListSet",
-    "RCUDomain",
-]
+"""Kernel data structures: red-black tree, radix tree, LRU lists and
+per-CPU lists — the building blocks §4.2 reuses ("we rely on principled
+use of data structures already widely employed in real-world OS
+kernels"). Import each from its own module."""

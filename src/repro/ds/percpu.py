@@ -3,8 +3,10 @@
 Each CPU keeps a bounded, recency-ordered list of knode references — "a
 software cache of the bigger kmap structure". The same knode may appear
 on several CPUs' lists; :meth:`invalidate` provides the coherence hook
-Linux's per-CPU APIs give the real implementation. Hit/miss counters feed
-the §4.3 claim that per-CPU lists absorb 54% of rbtree accesses.
+Linux's per-CPU APIs give the real implementation. The lookup itself
+lives in :class:`repro.kloc.percpu_cache.PerCPUKnodeCache`, whose hit
+counters feed the §4.3 claim that per-CPU lists absorb 54% of rbtree
+accesses.
 
 ``total_entries`` is maintained incrementally on every record/eviction/
 invalidate so metadata accounting is pure arithmetic instead of an
@@ -41,26 +43,11 @@ class PerCPUListSet(Generic[T]):
         self.total_entries = 0
         #: item → CPUs holding it (the membership shadow).
         self._where: Dict[T, Set[int]] = {}
-        self.hits = 0
-        self.misses = 0
         self.invalidations = 0
 
     def _check_cpu(self, cpu: int) -> None:
         if not 0 <= cpu < self.num_cpus:
             raise IndexError(f"cpu {cpu} out of range [0, {self.num_cpus})")
-
-    @hot
-    def lookup(self, cpu: int, item: T) -> bool:
-        """Fast-path lookup on one CPU's list; refreshes recency on hit."""
-        if not 0 <= cpu < self.num_cpus:
-            raise IndexError(f"cpu {cpu} out of range [0, {self.num_cpus})")
-        lst = self._lists[cpu]
-        if item in lst:
-            lst.move_to_end(item)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
 
     @hot
     def record(self, cpu: int, item: T) -> Optional[T]:
@@ -133,10 +120,6 @@ class PerCPUListSet(Generic[T]):
         Always ascending CPU order."""
         holders = self._where.get(item)
         return sorted(holders) if holders else []
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
         sizes = [len(lst) for lst in self._lists]

@@ -10,7 +10,7 @@ mechanically executes it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.alloc.base import KernelObject
 from repro.alloc.buddy import PageAllocator
@@ -23,7 +23,6 @@ from repro.core.errors import AllocationError, SimulationError
 from repro.core.hotpath import hot
 from repro.core.objtypes import AllocatorKind, KernelObjectType
 from repro.core.rng import DeterministicRNG
-from repro.core.units import PAGE_SIZE
 from repro.kernel.cpu import CpuSet
 from repro.kloc.manager import KlocManager
 from repro.kloc.migrationd import KlocMigrationDaemon
@@ -236,34 +235,26 @@ class Kernel:
             )
         return obj
 
-    def free_object(
-        self, obj: KernelObject, *, cpu: int = 0, now_ns: Optional[int] = None
-    ) -> int:
-        """Free a kernel object and return the allocator's CPU cost.
-
-        ``now_ns`` is the deferred-advance variant used by
-        :class:`AccessBatch`: the free executes at that virtual time and
-        the allocator's (constant) CPU cost is only *returned* — the batch
-        owns the coalesced advance. Plain calls (``now_ns=None``) advance
-        inside the allocator. The free event is stamped with the free's
-        own virtual time in both cases.
-        """
+    def free_object(self, obj: KernelObject, *, cpu: int = 0) -> int:
+        """Free a kernel object; the allocator advances the clock by its
+        CPU cost, which is returned. The free event is stamped with the
+        virtual time before that advance."""
         tracer = self.tracer
         if tracer is not None:
-            now = self.clock.now() if now_ns is None else now_ns
+            now = self.clock.now()
             tracer.emit(now, "free", obj.otype.name, lifetime_ns=obj.lifetime_ns(now))
         if self.kloc_manager is not None and obj.knode_id is not None:
             self.kloc_manager.remove_object(obj, cpu=cpu)
-        return self._free_route[obj.allocator](obj, now_ns)
+        return self._free_route[obj.allocator](obj)
 
     # ------------------------------------------------------------------
     # KernelContext: references
     # ------------------------------------------------------------------
 
     @hot
-    def _charge(self, frame: PageFrame, nbytes: int, write: bool, t: int) -> int:
-        """Charge one reference of ``nbytes`` to ``frame`` at virtual time
-        ``t`` and return its cost; the caller advances the clock.
+    def _charge(self, frame: PageFrame, nbytes: int, write: bool) -> int:
+        """Charge one reference of ``nbytes`` to ``frame`` at the current
+        virtual time and return its cost; the caller advances the clock.
 
         The one charge primitive behind every access path: the cost (the
         NUMA node's, hardware DRAM cache included, when the kernel has
@@ -290,8 +281,8 @@ class Kernel:
         cell = self._access_ns_n[owner][tier_name]
         cell[0] += cost
         cell[1] += 1
-        # frame.record_access(t, write=write), inlined:
-        frame.last_access = t
+        # frame.record_access(now, write=write), inlined:
+        frame.last_access = self.clock._now  # noqa: SLF001 - hot-path read
         frame.lru_age = 0
         journal = frame.journal
         if journal is not None:
@@ -317,9 +308,8 @@ class Kernel:
                 raise self._san.dead_object_error(obj)
             raise SimulationError(f"access to freed object {obj!r}")
         size = nbytes if nbytes is not None else obj.otype.size_bytes
-        clock = self.clock
-        cost = self._charge(obj.frame, size, write, clock._now)  # noqa: SLF001
-        clock.advance(cost)
+        cost = self._charge(obj.frame, size, write)
+        self.clock.advance(cost)
         self.kernel_refs += 1
         self.kernel_ref_bytes += size
         note_access = self._note_access
@@ -335,95 +325,15 @@ class Kernel:
             if self._san is not None:
                 raise self._san.dead_frame_error(frame)
             raise SimulationError(f"access to freed frame {frame!r}")
-        owner = frame.owner
-        clock = self.clock
-        cost = self._charge(frame, nbytes, write, clock._now)  # noqa: SLF001
-        clock.advance(cost)
-        if owner is _OWNER_APP:
+        cost = self._charge(frame, nbytes, write)
+        self.clock.advance(cost)
+        if frame.owner is _OWNER_APP:
             self.app_refs += 1
             self.app_ref_bytes += nbytes
         else:
             self.kernel_refs += 1
             self.kernel_ref_bytes += nbytes
         return cost
-
-    @hot
-    def access_frames(
-        self,
-        frames: Sequence[PageFrame],
-        nbytes: int,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int:
-        """Charge a run of frames, batching the clock advances.
-
-        Chunks ``nbytes`` across ``frames`` in order (PAGE_SIZE per frame,
-        the remainder on the last) — the shape of :meth:`Process.touch`'s
-        loop. Every frame is charged through :meth:`_charge` in order, at
-        its exact per-access timestamp, so order-dependent costs (the
-        NUMA hardware DRAM cache) come out as in a per-frame loop; only
-        ``Clock.advance`` is deferred and coalesced. An access is deferred
-        only while ``now + pending + cost < clock.next_deadline_ns`` — no
-        daemon can fire inside that span, so the single flush advance is
-        indistinguishable from per-frame advances. An access that would
-        cross the deadline flushes the pending time (still strictly before
-        the deadline, so nothing fires early) and is charged with a real
-        per-frame advance, which fires daemons exactly when a per-frame
-        loop would.
-        """
-        clock = self.clock
-        start = clock.now()
-        deadline = clock.next_deadline_ns
-        pending = 0
-        total = 0
-        app_refs = 0
-        app_bytes = 0
-        kern_refs = 0
-        kern_bytes = 0
-        remaining = nbytes
-        for frame in frames:
-            if remaining <= 0:
-                break
-            chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
-            remaining -= chunk
-            if frame.freed_at is not None:
-                if self._san is not None:
-                    raise self._san.dead_frame_error(frame)
-                raise SimulationError(f"access to freed frame {frame!r}")
-            owner = frame.owner
-            t = start + pending
-            cost = self._charge(frame, chunk, write, t)
-            if t + cost >= deadline:
-                # Flush the deferred span (it lands strictly before the
-                # deadline), then advance for real: daemons fire exactly
-                # as in a per-frame loop. Rebase on the post-firing clock.
-                if pending:
-                    clock.advance(pending)
-                    pending = 0
-                clock.advance(cost)
-                start = clock.now()
-                deadline = clock.next_deadline_ns
-            else:
-                pending += cost
-            total += cost
-            if owner is _OWNER_APP:
-                app_refs += 1
-                app_bytes += chunk
-            else:
-                kern_refs += 1
-                kern_bytes += chunk
-        if pending:
-            clock.advance(pending)
-        self.app_refs += app_refs
-        self.app_ref_bytes += app_bytes
-        self.kernel_refs += kern_refs
-        self.kernel_ref_bytes += kern_bytes
-        return total
-
-    def begin_access_batch(self) -> "AccessBatch":
-        """Open a deferred-advance charging window."""
-        return AccessBatch(self)
 
     # ------------------------------------------------------------------
     # KernelContext: application memory
@@ -690,102 +600,3 @@ class Kernel:
             f"{self.topology!r})"
         )
 
-
-class AccessBatch:
-    """A deferred-advance charging window over a run of object accesses.
-
-    Opened via :meth:`Kernel.begin_access_batch` by loops that issue many
-    small charges back-to-back (the page-cache read hit loop, the skb
-    copy-to-user loop). Each access/free executes all of its bookkeeping
-    immediately through :meth:`Kernel._charge`, at the exact virtual time
-    an unbatched call would see (``start + pending``) — access records,
-    KLOC hotness timestamps, reference attribution — but
-    the clock advance is accumulated and flushed once, which is legal
-    precisely while ``start + pending + cost < next_deadline``: no daemon
-    can fire inside that span, so per-item and coalesced advances are
-    indistinguishable. An item that would cross the deadline flushes the
-    pending span (still strictly before the deadline) and runs with a real
-    advance, firing daemons exactly when unbatched calls would.
-
-    Contract: callers must :meth:`sync` before doing any out-of-band clock
-    work (block I/O, allocations, readahead) and :meth:`close` when the
-    loop ends. After external work the next charge rebases automatically.
-    """
-
-    __slots__ = ("kernel", "clock", "start", "pending", "deadline")
-
-    def __init__(self, kernel: Kernel) -> None:
-        self.kernel = kernel
-        self.clock = kernel.clock
-        self.start = self.clock._now  # noqa: SLF001 - hot-path read
-        self.pending = 0
-        self.deadline = self.clock._next_deadline  # noqa: SLF001
-
-    def access_object(
-        self,
-        obj: KernelObject,
-        nbytes: Optional[int] = None,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int:
-        k = self.kernel
-        clock = self.clock
-        if self.pending == 0 and clock._now != self.start:  # noqa: SLF001
-            # External work advanced the clock since the last sync.
-            self.start = clock._now  # noqa: SLF001
-            self.deadline = clock._next_deadline  # noqa: SLF001
-        if obj.freed_at is not None:
-            if k._san is not None:  # noqa: SLF001 - same-module hot path
-                raise k._san.dead_object_error(obj)  # noqa: SLF001
-            raise SimulationError(f"access to freed object {obj!r}")
-        size = nbytes if nbytes is not None else obj.otype.size_bytes
-        t = self.start + self.pending
-        cost = k._charge(obj.frame, size, write, t)  # noqa: SLF001
-        if t + cost < self.deadline:
-            self.pending += cost
-            # An unbatched access stamps hotness with the post-advance
-            # clock; inside the window that is exactly t + cost.
-            now = t + cost
-        else:
-            if self.pending:
-                clock.advance(self.pending)  # strictly before the deadline
-                self.pending = 0
-            clock.advance(cost)  # may fire daemons, in per-call order
-            self.start = now = clock._now  # noqa: SLF001
-            self.deadline = clock._next_deadline  # noqa: SLF001
-        k.kernel_refs += 1
-        k.kernel_ref_bytes += size
-        note_access = k._note_access  # noqa: SLF001
-        if note_access is not None and obj.knode_id is not None:
-            note_access(obj, cpu=cpu, now_ns=now)
-        return cost
-
-    def free_object(self, obj: KernelObject, *, cpu: int = 0) -> None:
-        clock = self.clock
-        if self.pending == 0 and clock._now != self.start:  # noqa: SLF001
-            self.start = clock._now  # noqa: SLF001
-            self.deadline = clock._next_deadline  # noqa: SLF001
-        t = self.start + self.pending
-        cost = self.kernel.free_object(obj, cpu=cpu, now_ns=t)
-        if t + cost < self.deadline:
-            self.pending += cost
-            return
-        if self.pending:
-            clock.advance(self.pending)
-            self.pending = 0
-        clock.advance(cost)  # may fire daemons, in per-call order
-        self.start = clock._now  # noqa: SLF001
-        self.deadline = clock._next_deadline  # noqa: SLF001
-
-    def sync(self) -> None:
-        """Flush deferred time; call before out-of-band clock work."""
-        if self.pending:
-            self.clock.advance(self.pending)  # strictly before the deadline
-            self.pending = 0
-        self.start = self.clock._now  # noqa: SLF001
-        self.deadline = self.clock._next_deadline  # noqa: SLF001
-
-    def close(self) -> None:
-        """Flush any deferred time at the end of the batched loop."""
-        self.sync()

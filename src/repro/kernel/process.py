@@ -26,7 +26,6 @@ class Process:
         self.kernel = kernel
         self.name = name
         self._regions: Dict[str, List[PageFrame]] = {}
-        self._access_frames = kernel.access_frames
         self._access_frame = kernel.access_frame
 
     def alloc_region(
@@ -83,33 +82,23 @@ class Process:
             raise SimulationError(f"no region {name!r} in {self.name}")
         n = len(frames)
         index = page_hint % n
-        if nbytes <= PAGE_SIZE:
-            # Single-page touch (the common case for point operations):
-            # one direct charge, no run list.
-            frame = frames[index]
-            if frame.freed_at is not None:
-                return 0
-            return self._access_frame(frame, nbytes, write=write, cpu=cpu)
-        # Build the run of live frames in access order, then charge it in
-        # one batched call. Only the final chunk can be partial, so the
-        # batch's PAGE_SIZE-chunking gives each frame the chunk it would
-        # get one page at a time; skipped (dead) frames drop their chunk
-        # from the charged total. Prechecking liveness is safe: nothing
-        # that runs during the charges (daemons) frees anonymous app frames.
-        run: List[PageFrame] = []
-        charge = 0
+        access_frame = self._access_frame
+        cost = 0
         remaining = nbytes
-        while remaining > 0:
+        # A page per chunk, the remainder on the last; freed frames are
+        # skipped and charge nothing. The first chunk is always taken, so
+        # a touch of at most a page is exactly one reference.
+        while True:
             chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
             frame = frames[index]
             if frame.freed_at is None:
-                run.append(frame)
-                charge += chunk
+                cost += access_frame(frame, chunk, write=write, cpu=cpu)
             remaining -= chunk
+            if remaining <= 0:
+                return cost
             index += 1
             if index == n:
                 index = 0
-        return self._access_frames(run, charge, write=write, cpu=cpu)
 
     def total_pages(self) -> int:
         return sum(len(frames) for frames in self._regions.values())

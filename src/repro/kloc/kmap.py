@@ -1,8 +1,9 @@
 """The global kmap: every knode in the system, keyed by knode id.
 
 Figure 1: "All the KLOCs in the system are tracked using a kmap." §4.3
-protects it with RCU ("multi-reader, single-writer") and fronts it with
-the per-CPU lists. The paper's rbtree is an id-ordered dict here; a
+fronts it with the per-CPU lists. Its RCU ("multi-reader, single-writer")
+protects a concurrency the single-threaded simulator does not have, so it
+is not modelled. The paper's rbtree is an id-ordered dict here; a
 counted :meth:`KMap.lookup` stands for one tree search, the denominator
 of the 54%-reduction statistic.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.errors import SimulationError
-from repro.ds.rcu import RCUDomain
 from repro.kloc.knode import Knode
 
 
@@ -22,7 +22,6 @@ class KMap:
     def __init__(self) -> None:
         # Insertion order is id order: add() only accepts increasing ids.
         self._by_id: Dict[int, Knode] = {}
-        self.rcu = RCUDomain("kmap")
         self.rbtree_accesses = 0
 
     def __len__(self) -> int:
@@ -35,16 +34,13 @@ class KMap:
         """Table 2's add_to_kmap()."""
         if self._by_id and knode.knode_id <= next(reversed(self._by_id)):
             raise SimulationError(f"knode {knode.knode_id} not above the kmap's ids")
-        self.rcu.write()
         self._by_id[knode.knode_id] = knode
 
     def remove(self, knode_id: int) -> bool:
-        self.rcu.write()
         return self._by_id.pop(knode_id, None) is not None
 
     def lookup(self, knode_id: int) -> Optional[Knode]:
         """rbtree search — the slow path the per-CPU lists short-circuit."""
-        self.rcu.read()
         self.rbtree_accesses += 1
         return self._by_id.get(knode_id)
 
@@ -52,8 +48,7 @@ class KMap:
         """Resolve a knode without rbtree accounting.
 
         Models a direct pointer chase — a per-CPU list hit already holds
-        the knode pointer (§4.3), so neither the RCU read counter nor the
-        kmap access counter moves.
+        the knode pointer (§4.3), so the kmap access counter does not move.
         """
         return self._by_id.get(knode_id)
 
@@ -66,7 +61,6 @@ class KMap:
         class, older last-access first. ``cold_age`` filters open knodes
         that have not aged enough to be candidates.
         """
-        self.rcu.read()
         candidates = [
             k
             for k in self._by_id.values()

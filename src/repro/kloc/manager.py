@@ -191,16 +191,12 @@ class KlocManager:
         return removed
 
     @hot
-    def note_access(
-        self, obj: KernelObject, *, cpu: int = 0, now_ns: Optional[int] = None
-    ) -> None:
+    def note_access(self, obj: KernelObject, *, cpu: int = 0) -> None:
         """A member object was referenced — refresh its KLOC's hotness.
 
-        ``now_ns`` lets batched charge paths pass the access's computed
-        virtual time instead of re-reading the clock (identical value —
-        the caller reads the clock either way). After the lookup the
-        knode is already at the MRU end of ``cpu``'s list (a hit refreshes
-        recency; a miss records it), so no further per-CPU update is due.
+        After the lookup the knode is already at the MRU end of ``cpu``'s
+        list (a hit refreshes recency; a miss records it), so no further
+        per-CPU update is due.
         """
         kid = obj.knode_id
         if kid is None:
@@ -211,9 +207,7 @@ class KlocManager:
         if recorded:
             self._note_metadata()
         knode.age = 0
-        knode.last_access = (
-            self.clock._now if now_ns is None else now_ns  # noqa: SLF001
-        )
+        knode.last_access = self.clock._now  # noqa: SLF001 - hot-path read
 
     @hot
     def knode_for_inode(self, inode: Inode, *, cpu: int = 0) -> Optional[Knode]:

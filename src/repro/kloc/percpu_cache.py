@@ -42,11 +42,9 @@ class PerCPUKnodeCache:
         accesses, matching the paper's accounting, where the list entry
         holds the knode pointer directly. A miss that finds the knode
         records it on ``cpu``'s list; ``recorded`` reports that, since it
-        is the only outcome that can grow KLOC metadata.
-
-        Inlines :meth:`PerCPUListSet.lookup`'s hit sequence (deliberate
-        friend access — same membership test, recency refresh, and hit
-        counter).
+        is the only outcome that can grow KLOC metadata. A hit refreshes
+        the entry's recency on the CPU's list (friend access to
+        :class:`PerCPUListSet`'s lists).
         """
         lists = self.lists
         if not 0 <= cpu < lists.num_cpus:
@@ -54,10 +52,8 @@ class PerCPUKnodeCache:
         lst = lists._lists[cpu]  # noqa: SLF001 - hot-path friend access
         if knode_id in lst:
             lst.move_to_end(knode_id)
-            lists.hits += 1
             self.fast_hits += 1
             return self._kmap_get(knode_id), False
-        lists.misses += 1
         self.slow_lookups += 1
         knode = self.kmap.lookup(knode_id)
         if knode is None:

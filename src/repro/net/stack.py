@@ -114,20 +114,17 @@ class NetworkStack:
 
     def recv(self, socket: Socket, *, cpu: int = 0) -> int:
         """Application reads everything queued; returns bytes consumed."""
+        ctx = self.ctx
         consumed = 0
-        # The copy-to-user + free sequence per skb is pure charging work,
-        # so the whole drain shares one deferred-advance window.
-        batch = self.ctx.begin_access_batch()
         while True:
             skb = socket.dequeue()
             if skb is None:
                 break
             # Copy-to-user: the application reads the payload.
-            batch.access_object(skb.data, skb.nbytes, cpu=cpu)
-            batch.free_object(skb.header, cpu=cpu)
-            batch.free_object(skb.data, cpu=cpu)
+            ctx.access_object(skb.data, skb.nbytes, cpu=cpu)
+            ctx.free_object(skb.header, cpu=cpu)
+            ctx.free_object(skb.data, cpu=cpu)
             consumed += skb.nbytes
-        batch.close()
         return consumed
 
     def send(self, socket: Socket, nbytes: int, *, cpu: int = 0) -> int:

@@ -268,8 +268,7 @@ class Filesystem:
 
         :meth:`write`'s loop shape; a miss instead goes to disk (extent
         lookup, one bio, a fill), and each page ends with one readahead
-        update. Charges go through the kernel's deferred-advance window;
-        misses and fetches sync it first.
+        update.
         """
         if handle.closed:
             raise VFSError(f"fd {handle.fd} is closed")
@@ -283,7 +282,6 @@ class Filesystem:
             return 0
 
         ctx = self.ctx
-        batch = ctx.begin_access_batch()
         tree = cache.tree
         lru = self.cache_mgr.lru
         readahead = handle.readahead if self.readahead_enabled else None
@@ -292,7 +290,6 @@ class Filesystem:
         for index in range(offset // PAGE_SIZE, (limit - 1) // PAGE_SIZE + 1):
             page = tree.lookup(index)
             if page is None:
-                batch.sync()
                 self.cache_misses += 1
                 extent = self._extents[inode.ino].lookup(index)
                 if extent is not None:
@@ -304,9 +301,9 @@ class Filesystem:
                 lru.touch(page)
                 token = tree.root.token
                 if token is not None and token.freed_at is None:
-                    batch.access_object(token, 64, cpu=cpu)
+                    ctx.access_object(token, 64, cpu=cpu)
             page_end = (index + 1) * PAGE_SIZE
-            batch.access_object(
+            ctx.access_object(
                 page.obj, (page_end if page_end < limit else limit) - pos, cpu=cpu
             )
             pos = page_end
@@ -317,9 +314,8 @@ class Filesystem:
                     if i <= max_index and tree.lookup(i) is None:
                         to_fetch.append(i)
                 if to_fetch:
-                    self._readahead(cache, inode, to_fetch, cpu, batch)
+                    self._readahead(cache, inode, to_fetch, cpu)
 
-        batch.close()
         inode.atime = ctx.clock.now()
         return limit - offset
 
@@ -395,12 +391,9 @@ class Filesystem:
             cache_mgr.evicted += 1
 
     def _readahead(
-        self, cache: PageCache, inode: Inode, to_fetch: List[int], cpu: int, batch
+        self, cache: PageCache, inode: Inode, to_fetch: List[int], cpu: int
     ) -> None:
         """Fetch the uncached pages of a readahead window."""
-        # The fetch does real clock work (bios, page fills): flush the
-        # deferred window so it starts at the window's virtual time.
-        batch.sync()
         # One sequential bio brings the whole window in asynchronously.
         self.blk.submit(len(to_fetch) * PAGE_SIZE, False, True, inode, cpu, True)
         for i in to_fetch:

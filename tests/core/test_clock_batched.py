@@ -1,31 +1,17 @@
-"""Clock edge cases for the batched charge windows.
+"""Clock edge cases: the deadline boundary, re-advancing callbacks and
+phase staggering.
 
-``Kernel.access_frames`` defers per-frame ``Clock.advance`` calls only
-while ``now + pending + cost < next_deadline_ns`` — strictly *less than*,
-because a batch that lands exactly on a deadline must fire the daemon at
-that instant, exactly as the per-frame loop would. These tests pin the
-boundary semantics the window proof relies on, plus the staggering and
-re-advancing behaviors the batch must not disturb.
+An advance that ends exactly on a deadline fires the daemon at that
+instant, a daemon whose own work crosses another daemon's deadline does
+not fire it recursively, and ``phase_ns`` offsets keep their stagger.
 """
 
 from repro.core.clock import Clock
-from repro.core.config import two_tier_platform_spec
-from repro.core.units import MB, PAGE_SIZE
-from repro.kernel.kernel import Kernel
-from repro.policies import NaivePolicy
-
-
-def make_kernel(**kwargs):
-    spec = two_tier_platform_spec(
-        fast_capacity_bytes=4 * MB, slow_capacity_bytes=40 * MB
-    )
-    return Kernel(spec, NaivePolicy(), seed=3, **kwargs)
 
 
 class TestDeadlineBoundary:
     def test_advance_ending_exactly_on_deadline_fires(self):
-        """`now == deadline` is due, not deferred — the window test must
-        therefore use strict `<`."""
+        """`now == deadline` is due."""
         clock = Clock()
         fires = []
         clock.schedule_periodic(100, fires.append)
@@ -34,39 +20,12 @@ class TestDeadlineBoundary:
         clock.advance(1)
         assert fires == [100]
 
-    def test_batch_ending_exactly_on_deadline_fires_daemon(self):
-        """A batched run whose total cost lands exactly on a deadline
-        takes the per-frame fallback and fires the daemon at the same
-        virtual instant the legacy loop would."""
-        kernel = make_kernel()
-        frames = kernel.alloc_app_pages(8)
-        # Per-frame cost is deterministic: charge one frame to learn it.
-        probe_cost = kernel.access_frame(frames[0], PAGE_SIZE)
-        fires = []
-        start = kernel.clock.now()
-        # Three frames in the batch; deadline exactly at the batch's end.
-        kernel.clock.schedule_periodic(3 * probe_cost, fires.append)
-        total = kernel.access_frames(frames[1:4], 3 * PAGE_SIZE)
-        assert total == 3 * probe_cost
-        assert fires == [start + 3 * probe_cost]
-
-    def test_batch_strictly_inside_window_defers_nothing_observable(self):
-        kernel = make_kernel()
-        frames = kernel.alloc_app_pages(8)
-        probe_cost = kernel.access_frame(frames[0], PAGE_SIZE)
-        fires = []
-        kernel.clock.schedule_periodic(3 * probe_cost + 1, fires.append)
-        kernel.access_frames(frames[1:4], 3 * PAGE_SIZE)
-        assert fires == []
-        kernel.clock.advance(1)
-        assert len(fires) == 1
-
 
 class TestCallbackReAdvance:
     def test_callback_advancing_past_second_daemon_deadline(self):
         """A daemon whose work pushes time past another daemon's deadline
         does not fire it recursively; the outer dispatch loop does, in
-        registration order — batched advances must preserve this."""
+        registration order."""
         clock = Clock()
         order = []
 
@@ -102,30 +61,4 @@ class TestPhaseStagger:
     def test_staggered_deadline_seeds_fast_path_cache(self):
         clock = Clock()
         clock.schedule_periodic(100, lambda t: None, phase_ns=30)
-        assert clock.next_deadline_ns == 130
-
-
-class TestBatchedMatchesPerFrame:
-    def _drive(self, batched: bool):
-        """One run: daemon records fire times while frames are charged."""
-        kernel = make_kernel()
-        frames = kernel.alloc_app_pages(32)
-        fires = []
-        kernel.clock.schedule_periodic(1500, fires.append)
-        total = 0
-        for _round in range(10):
-            if batched:
-                total += kernel.access_frames(frames[:8], 8 * PAGE_SIZE)
-            else:
-                for frame in frames[:8]:
-                    total += kernel.access_frame(frame, PAGE_SIZE)
-        return total, fires, kernel.clock.now()
-
-    def test_firing_times_and_costs_identical(self):
-        """The batched path crosses the daemon's deadline repeatedly;
-        fire times, total cost, and final clock must match the per-frame
-        loop exactly."""
-        per_frame = self._drive(batched=False)
-        batched = self._drive(batched=True)
-        assert batched == per_frame
-        assert per_frame[1], "deadlines were never crossed — test is vacuous"
+        assert clock._next_deadline == 130

@@ -154,7 +154,7 @@ class TestFiringHidesDeadline:
         def daemon(now):
             for _ in range(100):
                 clock.advance(1)
-                seen.append(clock.next_deadline_ns)
+                seen.append(clock._next_deadline)
 
         clock.schedule_periodic(1000, daemon)
         calls = self.count_fire_due(clock)
@@ -162,7 +162,7 @@ class TestFiringHidesDeadline:
         assert calls == [1000]
         assert seen == [Clock._NEVER] * 100
         assert clock.now() == 1100
-        assert clock.next_deadline_ns == 2000
+        assert clock._next_deadline == 2000
 
     def test_callback_scheduling_daemon_enters_fire_due_once(self):
         clock = Clock()
@@ -185,7 +185,7 @@ class TestFiringHidesDeadline:
         # The firing loop picks up both newly due daemons once the callback
         # returns: the child (next 25) and the parent again (next 30).
         assert fires == [("parent", 10), ("child", 22), ("parent", 22)]
-        assert clock.next_deadline_ns == 25
+        assert clock._next_deadline == 25
         clock.advance(3)
         assert fires[-1] == ("child", 25)
         assert calls == [10, 25]

