@@ -2,7 +2,7 @@
 Heterogeneous Memory Systems* (Kannan, Ren, Bhattacharjee — ASPLOS 2021).
 
 The package simulates the kernel subsystems the paper modifies — memory
-tiers, slab/buddy/vmalloc allocators, an ext4-like filesystem, a socket
+tiers, slab/buddy/KLOC allocators, an ext4-like filesystem, a socket
 stack — and implements the paper's contribution (the KLOC abstraction:
 knodes, the global kmap, per-CPU knode fast paths, and en-masse kernel
 object migration) together with every baseline tiering policy the paper

@@ -1,12 +1,10 @@
 """Kernel memory allocators.
 
-Four families, mirroring §3.3/§4.4:
+Three families, mirroring §3.3/§4.4:
 
 * :class:`SlabAllocator` — fast, physically addressed, **non-relocatable**
   (kmalloc / kmem_cache_alloc).
 * :class:`PageAllocator` — buddy-style whole-page allocations, relocatable.
-* :class:`VmallocAllocator` — virtually mapped multi-page areas, relocatable
-  but slower to set up.
 * :class:`KlocAllocator` — the paper's new interface: slab-like object
   packing on relocatable, knode-grouped pages (the 400+ redirected sites).
 """
@@ -15,13 +13,11 @@ from repro.alloc.base import ALLOC_COSTS, KernelObject
 from repro.alloc.buddy import PageAllocator
 from repro.alloc.kloc_alloc import KlocAllocator
 from repro.alloc.slab import SlabAllocator
-from repro.alloc.vmalloc import VmallocAllocator
 
 __all__ = [
     "KernelObject",
     "ALLOC_COSTS",
     "SlabAllocator",
     "PageAllocator",
-    "VmallocAllocator",
     "KlocAllocator",
 ]

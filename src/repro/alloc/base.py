@@ -10,13 +10,12 @@ from repro.core.units import NS
 from repro.mem.frame import PageFrame
 
 #: Allocation-path CPU costs (ns per allocation). Slab is the fastest;
-#: vmalloc pays page-table setup; the KLOC interface is "slab-like" with a
-#: small premium for the VMA bookkeeping that makes its pages relocatable
-#: (§4.2.2 prioritizes allocation speed; §4.4 describes the interface).
+#: the KLOC interface is "slab-like" with a small premium for the VMA
+#: bookkeeping that makes its pages relocatable (§4.2.2 prioritizes
+#: allocation speed; §4.4 describes the interface).
 ALLOC_COSTS = {
     "slab": 90 * NS,
     "page": 180 * NS,
-    "vmalloc": 1200 * NS,
     "kloc": 140 * NS,
 }
 
@@ -101,7 +100,6 @@ class AllocatorStats:
     frees: int = 0
     pages_grabbed: int = 0
     pages_returned: int = 0
-    cpu_cost_ns: int = 0
     lifetimes: LifetimeLedger = field(default_factory=LifetimeLedger)
 
     @property

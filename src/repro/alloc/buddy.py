@@ -57,7 +57,6 @@ class PageAllocator:
         *,
         obj_type: Optional[str] = None,
         knode_id: Optional[int] = None,
-        node_id: int = 0,
     ) -> List[PageFrame]:
         """Allocate raw relocatable frames (e.g. anonymous app memory)."""
         frames = self.topology.allocate(
@@ -66,7 +65,6 @@ class PageAllocator:
             owner,
             obj_type=obj_type,
             knode_id=knode_id,
-            node_id=node_id,
             relocatable=True,
             now_ns=self.clock.now(),
         )
@@ -74,7 +72,6 @@ class PageAllocator:
         self.order_histogram[order] = self.order_histogram.get(order, 0) + 1
         self.stats.pages_grabbed += npages
         cost = _PAGE_COST * npages
-        self.stats.cpu_cost_ns += cost
         self.clock.advance(cost)
         return frames
 
@@ -94,20 +91,18 @@ class PageAllocator:
         otype: KernelObjectType,
         tier_order: Sequence[str],
         knode_id: Optional[int] = None,
-        node_id: int = 0,
     ) -> KernelObject:
         """Allocate one page-backed kernel object owning its frame."""
         clock = self.clock
         now = clock.now()
         (frame,) = self.topology.allocate(
-            1, tier_order, otype.owner, TYPE_NAMES[otype], knode_id, True, now, node_id
+            1, tier_order, otype.owner, TYPE_NAMES[otype], knode_id, True, now
         )
         stats = self.stats
         stats.pages_grabbed += 1
         stats.allocs += 1
         oid = self._next_oid
         self._next_oid = oid + 1
-        stats.cpu_cost_ns += _PAGE_COST
         clock.advance(_PAGE_COST)
         return KernelObject(oid, otype, knode_id, frame, "page", now)
 

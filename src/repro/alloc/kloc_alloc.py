@@ -111,7 +111,6 @@ class KlocAllocator:
 
         stats = self.stats
         stats.allocs += 1
-        stats.cpu_cost_ns += _KLOC_COST
         self.clock.advance(_KLOC_COST)
         return KernelObject(oid, otype, knode_id, page.frame, "kloc", now)
 

@@ -115,7 +115,6 @@ class SlabAllocator:
 
         stats = self.stats
         stats.allocs += 1
-        stats.cpu_cost_ns += _SLAB_COST
         self.clock.advance(_SLAB_COST)
         return KernelObject(oid, otype, knode_id, page.frame, "slab", now)
 

@@ -55,7 +55,6 @@ class SourceFile:
 
     def __init__(self, path: str, text: str) -> None:
         self.path = path
-        self.text = text
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=path)
         #: line number → rule ids suppressed on that line.

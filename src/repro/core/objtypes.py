@@ -34,7 +34,6 @@ class AllocatorKind(enum.Enum):
 
     SLAB = "slab"
     PAGE = "page"
-    VMALLOC = "vmalloc"
 
 
 @dataclass(frozen=True)

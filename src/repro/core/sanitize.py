@@ -50,7 +50,6 @@ from repro.core.errors import SanitizerError
 
 if TYPE_CHECKING:
     from repro.alloc.base import KernelObject
-    from repro.alloc.vmalloc import VmallocArea
     from repro.mem.frame import PageFrame
 
 
@@ -145,19 +144,6 @@ class Sanitizer:
             raise SanitizerError(
                 f"double free of {family} object #{obj.oid} "
                 f"({obj.otype.name}) at {site or call_site()}; "
-                f"first freed at {first or 'before sanitizer attach'}"
-            )
-        self.freed_objects[key] = site or call_site()
-
-    def on_area_free(self, area: "VmallocArea", site: Optional[str] = None) -> None:
-        """Record a vmalloc-area free; raise on the second vfree."""
-        self.checks += 1
-        key = ("vmalloc", area.area_id)
-        first = self.freed_objects.get(key)
-        if first is not None or not area.live:
-            raise SanitizerError(
-                f"double vfree of area {area.area_id} ({area.npages} pages) "
-                f"at {site or call_site()}; "
                 f"first freed at {first or 'before sanitizer attach'}"
             )
         self.freed_objects[key] = site or call_site()

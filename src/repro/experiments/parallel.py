@@ -17,7 +17,6 @@ Environment knobs:
   ``REPRO_JOBS=1`` forces the in-process serial path (debugging,
   profiling, pdb).
 - ``REPRO_NO_CACHE=1`` / ``REPRO_CACHE_DIR`` — see the cache module.
-- ``REPRO_SWEEP_QUIET=1`` — suppress the per-cell stderr summary.
 
 Per-cell visibility: each grid cell logs one stderr line —
 ``[sweep] 3/12 rocksdb/klocs ops=40000 .. computed 12.4s`` or
@@ -88,14 +87,6 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-def sweep_quiet() -> bool:  # simlint: config-site
-    """True when ``REPRO_SWEEP_QUIET`` suppresses per-cell log lines.
-
-    Read once per :func:`run_specs` call, not per cell: env knobs are
-    construction-time configuration, never per-iteration state."""
-    return bool(os.environ.get("REPRO_SWEEP_QUIET"))
-
-
 def _timed_execute(spec: RunSpec) -> Dict[str, Any]:
     start = time.perf_counter()  # simlint: ok[determinism] host-side timing
     payload = execute_spec(spec)
@@ -119,11 +110,7 @@ def _log_cell(
     spec: RunSpec,
     status: str,
     wall_s: float,
-    *,
-    quiet: bool,
 ) -> None:
-    if quiet:
-        return
     timing = "" if status == "cached" else f" {wall_s:.1f}s"
     print(
         f"[sweep] {index + 1}/{total} {spec.label()} .. {status}{timing}",
@@ -148,7 +135,6 @@ def run_specs(
         jobs = default_jobs()
     if cache is None:
         cache = ResultCache()
-    quiet = sweep_quiet()
 
     total = len(specs)
     payloads: List[Optional[Dict[str, Any]]] = [None] * total
@@ -158,7 +144,7 @@ def run_specs(
         payload = cache.load(spec)
         if payload is not None:
             payloads[i] = payload
-            _log_cell(i, total, spec, "cached", 0.0, quiet=quiet)
+            _log_cell(i, total, spec, "cached", 0.0)
         else:
             pending.append(i)
 
@@ -177,7 +163,7 @@ def run_specs(
         wall_s = payload.pop("_wall_s", 0.0)
         payloads[i] = payload
         cache.store(specs[i], payload)
-        _log_cell(i, total, specs[i], "computed", wall_s, quiet=quiet)
+        _log_cell(i, total, specs[i], "computed", wall_s)
 
     if jobs > 1 and len(leaders) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(leaders))) as pool:
@@ -190,6 +176,6 @@ def run_specs(
 
     for i, leader in followers.items():
         payloads[i] = payloads[leader]
-        _log_cell(i, total, specs[i], "cached", 0.0, quiet=quiet)
+        _log_cell(i, total, specs[i], "cached", 0.0)
 
     return [result_from_payload(p) for p in payloads]

@@ -13,6 +13,7 @@ from typing import Optional
 from repro.core.config import KLOCSpec
 from repro.experiments.defaults import SCALE_FACTOR, ops_for, seed
 from repro.experiments.runner import make_workload
+from repro.kloc.percpu_cache import PerCPUKnodeCache
 from repro.metrics.report import format_table
 from repro.platforms.twotier import build_two_tier_kernel
 
@@ -47,18 +48,18 @@ def _measure(percpu_list_max: int, workload: str, ops: int) -> tuple:
     kernel, _pol = build_two_tier_kernel(
         "klocs", scale_factor=SCALE_FACTOR, seed=seed()
     )
-    # Shrink the per-CPU lists after construction for the ablation arm.
-    if percpu_list_max != kernel.platform.kloc.percpu_list_max:
-        kernel.kloc_manager.percpu.lists.max_per_cpu = percpu_list_max
-        for lst in kernel.kloc_manager.percpu.lists._lists:  # noqa: SLF001
-            lst.clear()
+    # The ablation arm swaps in shorter lists before any knode exists.
+    manager = kernel.kloc_manager
+    if percpu_list_max != manager.percpu.max_per_cpu:
+        manager.percpu = PerCPUKnodeCache(
+            manager.kmap, kernel.num_cpus, percpu_list_max
+        )
     wl = make_workload(kernel, workload)
     wl.setup()
-    kernel.kloc_manager.kmap.rbtree_accesses = 0
-    kernel.kloc_manager.percpu.fast_hits = 0
-    kernel.kloc_manager.percpu.slow_lookups = 0
+    manager.kmap.rbtree_accesses = 0
+    manager.percpu.fast_hits = 0
+    manager.percpu.slow_lookups = 0
     wl.run(ops)
-    manager = kernel.kloc_manager
     stats = (
         manager.percpu.rbtree_access_reduction(),
         manager.kmap.rbtree_accesses,

@@ -1,7 +1,7 @@
 """The Kernel: the one real implementation of the KernelContext protocol.
 
 A :class:`Kernel` is a complete simulated OS instance: memory topology,
-the four allocator families, the migration engine, the ext4-like
+the three allocator families, the migration engine, the ext4-like
 filesystem, the network stack, the KLOC machinery (when the policy uses
 it), and the metric counters every experiment reads. The active
 :class:`~repro.policies.base.TieringPolicy` decides placement; the kernel
@@ -16,7 +16,6 @@ from repro.alloc.base import KernelObject
 from repro.alloc.buddy import PageAllocator
 from repro.alloc.kloc_alloc import KlocAllocator
 from repro.alloc.slab import SlabAllocator
-from repro.alloc.vmalloc import VmallocAllocator
 from repro.core.clock import Clock
 from repro.core.config import PlatformSpec
 from repro.core.errors import AllocationError, SimulationError
@@ -81,11 +80,10 @@ class Kernel:
         self.slab = SlabAllocator(self.topology, self.clock)
         self.kloc_alloc = KlocAllocator(self.topology, self.clock)
         self.page_alloc = PageAllocator(self.topology, self.clock)
-        self.vmalloc = VmallocAllocator(self.topology, self.clock)
 
         # NUMA (Optane Memory Mode) wiring: each tier is a socket with an
         # optional hardware DRAM cache in front.
-        self.numa_mode = bool(getattr(policy, "numa_mode", False))
+        self.numa_mode = policy.numa_mode
         self.task_node = 0
         self.nodes: Dict[str, NumaNode] = {}
         if self.numa_mode:
@@ -118,7 +116,6 @@ class Kernel:
                 fast_tier=platform.fast.name,
                 slow_tier=platform.slow.name,
                 kloc_allocator=self.kloc_alloc,
-                spec=platform.kloc,
                 background_charge=self.background_cpu_work,
             )
             self.kloc_manager.on_knode_inactive = policy.on_knode_inactive
@@ -220,8 +217,6 @@ class Kernel:
             self._emergency_reclaim(cpu=cpu)
             obj = allocator(otype, tier_order, knode_id)
 
-        if self.numa_mode:
-            self._fix_node_id(obj.frame)
         if covered and inode is not None:
             self.kloc_manager.add_object(inode, obj, cpu=cpu)
         if self.tracer is not None:
@@ -350,8 +345,6 @@ class Kernel:
         except AllocationError:
             self._emergency_reclaim(cpu=cpu)
             frames = self.page_alloc.alloc_frames(npages, order, PageOwner.APP)
-        for frame in frames:
-            self._fix_node_id(frame)
         if huge:
             self.thp.make_compounds(frames)
         return frames
@@ -433,13 +426,7 @@ class Kernel:
         if not self.numa_mode:
             raise SimulationError("set_task_node requires a NUMA-mode policy")
         self.task_node = node
-        hook = getattr(self.policy, "on_task_moved", None)
-        if hook is not None:
-            hook()
-
-    def _fix_node_id(self, frame: PageFrame) -> None:
-        if self.numa_mode and frame.tier_name in self.nodes:
-            frame.node_id = self.nodes[frame.tier_name].node_id
+        self.policy.on_task_moved()
 
     # ------------------------------------------------------------------
     # pressure + reporting
@@ -583,11 +570,6 @@ class Kernel:
             "kloc live pages (grabbed - returned) vs knode page groups",
             kloc.live_pages(),
             kloc_pages,
-        )
-        san.expect(
-            "vmalloc live areas (allocs - frees) vs area table",
-            self.vmalloc.stats.allocs - self.vmalloc.stats.frees,
-            len(self.vmalloc._areas),  # noqa: SLF001 - ground-truth recount
         )
         if self.kloc_manager is not None:
             self.kloc_manager.verify_counters()

@@ -8,9 +8,9 @@ tests can be written against the paper's interface verbatim.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.core.config import KLOCSpec
 from repro.core.errors import ConfigError
 
 if TYPE_CHECKING:
@@ -45,12 +45,8 @@ class KlocAPI:
             raise ConfigError(f"only the fast tier is capped: {memtype!r}")
         if not 0.0 < size_fraction <= 1.0:
             raise ConfigError(f"fraction out of range: {size_fraction}")
-        spec = self.manager.spec
-        self.manager.spec = KLOCSpec(
-            percpu_list_max=spec.percpu_list_max,
-            migrate_period_ns=spec.migrate_period_ns,
-            cold_age_rounds=spec.cold_age_rounds,
-            fast_capacity_fraction=size_fraction,
+        self.manager.spec = replace(
+            self.manager.spec, fast_capacity_fraction=size_fraction
         )
 
     # -- OS-developer functions -----------------------------------------

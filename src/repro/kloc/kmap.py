@@ -44,14 +44,6 @@ class KMap:
         self.rbtree_accesses += 1
         return self._by_id.get(knode_id)
 
-    def get_uncounted(self, knode_id: int) -> Optional[Knode]:
-        """Resolve a knode without rbtree accounting.
-
-        Models a direct pointer chase — a per-CPU list hit already holds
-        the knode pointer (§4.3), so the kmap access counter does not move.
-        """
-        return self._by_id.get(knode_id)
-
     def get_lru_knodes(
         self, limit: Optional[int] = None, *, cold_age: int = 0
     ) -> List[Knode]:
@@ -73,9 +65,6 @@ class KMap:
 
     def all_knodes(self) -> List[Knode]:
         return list(self._by_id.values())
-
-    def total_metadata_bytes(self) -> int:
-        return sum(k.metadata_bytes() for k in self._by_id.values())
 
     def __repr__(self) -> str:
         return f"KMap(knodes={len(self)}, rbtree_accesses={self.rbtree_accesses})"

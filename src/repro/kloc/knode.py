@@ -9,8 +9,9 @@ The two sets keep the paper's names but are ``{oid: object}`` dicts
 (no simulated cost depends on a tree's shape), walked in ascending oid
 order as an in-order tree walk would be; adoption adds older oids later.
 
-Table 6's metadata accounting lives here too: 8 bytes of rb-tree pointer
-per tracked object plus a 64-byte knode structure per inode.
+Table 6's metadata sizes are defined here (8 bytes of rb-tree pointer
+per tracked object plus a 64-byte knode structure per inode);
+:meth:`repro.kloc.manager.KlocManager.metadata_bytes` sums them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class Knode:
         self.age = 0
         #: True while the file/socket is open (§4.1's *inuse*).
         self.inuse = False
-        self.created_at = created_at
         self.last_access = created_at
         self.peak_objects = 0
         #: :meth:`walk_frames`'s result, or None after a membership change.
@@ -158,13 +158,6 @@ class Knode:
                         seen.add(fid)
                         out.append(frame)
         return out
-
-    # ------------------------------------------------------------------
-    # Table 6 accounting
-    # ------------------------------------------------------------------
-
-    def metadata_bytes(self) -> int:
-        return KNODE_STRUCT_BYTES + RB_POINTER_BYTES * self.object_count
 
     def __repr__(self) -> str:
         state = "inuse" if self.inuse else f"age={self.age}"

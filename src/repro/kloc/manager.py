@@ -86,7 +86,7 @@ class KlocManager:
         self._next_knode_id += 1
         inode.knode_id = knode.knode_id
         self.kmap.add(knode)
-        self.percpu.note_access(knode, cpu=cpu)
+        self.percpu.record(knode.knode_id, cpu=cpu)
         self.knodes_created += 1
         self._note_metadata()
         return knode
@@ -98,7 +98,7 @@ class KlocManager:
         was_inactive = not knode.inuse
         knode.inuse = True
         knode.touch(self.clock.now())
-        self.percpu.note_access(knode, cpu=cpu)
+        self.percpu.record(knode.knode_id, cpu=cpu)
         self._note_metadata()
         if was_inactive and self.on_knode_active is not None:
             self.on_knode_active(knode)
@@ -167,7 +167,7 @@ class KlocManager:
         size = (
             KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
             + RB_POINTER_BYTES * self._tracked_objects
-            + PERCPU_ENTRY_BYTES * self.percpu.lists.total_entries
+            + PERCPU_ENTRY_BYTES * self.percpu.total_entries
         )
         if size > self.peak_metadata_bytes:
             self.peak_metadata_bytes = size
@@ -235,7 +235,7 @@ class KlocManager:
         return (
             KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
             + RB_POINTER_BYTES * self._tracked_objects
-            + PERCPU_ENTRY_BYTES * self.percpu.lists.total_entries
+            + PERCPU_ENTRY_BYTES * self.percpu.total_entries
         )
 
     @hot
@@ -278,12 +278,9 @@ class KlocManager:
             self._tracked_objects,
             members + self._orphaned_objects,
         )
-        lists = self.percpu.lists
-        recounted = 0
-        for lst in lists._lists:  # noqa: SLF001 - ground-truth recount
-            recounted += len(lst)
+        percpu = self.percpu
         san.expect(
-            "PerCPUListSet.total_entries", lists.total_entries, recounted
+            "PerCPUKnodeCache.total_entries", percpu.total_entries, percpu.recount()
         )
 
     def __repr__(self) -> str:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.config import KLOCSpec
 from repro.mem.frame import PageFrame
 from repro.mem.migration import MigrationEngine
 from repro.mem.topology import MemoryTopology
@@ -44,7 +43,6 @@ class KlocMigrationDaemon:
         fast_tier: str = "fast",
         slow_tier: str = "slow",
         kloc_allocator: Optional["KlocAllocator"] = None,
-        spec: Optional[KLOCSpec] = None,
         background_charge=None,
     ) -> None:
         self.manager = manager
@@ -53,7 +51,6 @@ class KlocMigrationDaemon:
         self.fast_tier = fast_tier
         self.slow_tier = slow_tier
         self.kloc_allocator = kloc_allocator
-        self.spec = spec or manager.spec
         #: Called with each batch's cost: migration threads burn CPU even
         #: though they run asynchronously (§5 notes the dedicated threads).
         self.background_charge = background_charge
@@ -78,7 +75,9 @@ class KlocMigrationDaemon:
         """Register the periodic daemon on the clock (idempotent)."""
         if self.started:
             return
-        self.manager.clock.schedule_periodic(self.spec.migrate_period_ns, self.run)
+        self.manager.clock.schedule_periodic(
+            self.manager.spec.migrate_period_ns, self.run
+        )
         self.started = True
 
     # ------------------------------------------------------------------
@@ -115,9 +114,12 @@ class KlocMigrationDaemon:
 
     def upgrade_knode(self, knode: "Knode", *, limit: Optional[int] = None) -> int:
         """Pull an active knode's slow-resident objects into fast memory,
-        respecting the sys_kloc_memsize() capacity cap."""
+        respecting the sys_kloc_memsize() capacity cap (read from the
+        manager's spec, the cap's one owner)."""
         fast = self.topology.tier(self.fast_tier)
-        budget_pages = int(fast.capacity_pages * self.spec.fast_capacity_fraction)
+        budget_pages = int(
+            fast.capacity_pages * self.manager.spec.fast_capacity_fraction
+        )
         kernel_used = self.topology.kernel_pages_in(self.fast_tier)
         batch = min(limit, self.UPGRADE_BATCH) if limit is not None else self.UPGRADE_BATCH
         headroom = min(budget_pages - kernel_used, fast.free_pages, batch)
@@ -169,6 +171,7 @@ class KlocMigrationDaemon:
 
         deficit = self.fast_free_deficit()
         if deficit > 0:
+            cold_age = self.manager.spec.cold_age_rounds
             # Definitely-cold (closed) knodes first: the short-circuit.
             while self.pending and moved_down < deficit:
                 _id, knode = self.pending.popitem(last=False)
@@ -176,12 +179,10 @@ class KlocMigrationDaemon:
                     moved_down += self.downgrade_knode(knode)
             # Then likely-cold open knodes, coldest first.
             if moved_down < deficit:
-                for knode in self.manager.kmap.get_lru_knodes(
-                    cold_age=self.spec.cold_age_rounds
-                ):
+                for knode in self.manager.kmap.get_lru_knodes(cold_age=cold_age):
                     if moved_down >= deficit:
                         break
-                    if knode.is_cold(self.spec.cold_age_rounds):
+                    if knode.is_cold(cold_age):
                         moved_down += self.downgrade_knode(knode)
 
         self._last_run_ns = now_ns or self.manager.clock.now()

@@ -48,14 +48,13 @@ class PageFrame:
 
     ``relocatable`` encodes the paper's central mechanical constraint:
     slab-allocated pages are referenced by physical address and cannot be
-    migrated (§3.3); pages from the buddy/vmalloc/KLOC allocation interface
+    migrated (§3.3); pages from the buddy/KLOC allocation interface
     can be.
     """
 
     __slots__ = (
         "fid",
         "tier_name",
-        "node_id",
         "owner",
         "obj_type",
         "knode_id",
@@ -80,7 +79,6 @@ class PageFrame:
         fid: int,
         tier_name: str,
         owner: PageOwner,
-        node_id: int = 0,
         obj_type: Optional[str] = None,
         knode_id: Optional[int] = None,
         relocatable: bool = True,
@@ -88,7 +86,6 @@ class PageFrame:
     ) -> None:
         self.fid = fid
         self.tier_name = tier_name
-        self.node_id = node_id
         self.owner = owner
         self.obj_type = obj_type
         self.knode_id = knode_id

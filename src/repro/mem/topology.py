@@ -69,7 +69,6 @@ class MemoryTopology:
         #: ``retired_limit=None`` keeps every freed frame (full-fidelity
         #: lifetime analysis); an integer keeps only the most recent N so
         #: long sweeps that never read lifetimes stay bounded.
-        self.retired_limit = retired_limit
         self.retired = (
             [] if retired_limit is None else deque(maxlen=retired_limit)
         )
@@ -103,7 +102,6 @@ class MemoryTopology:
         knode_id: Optional[int] = None,
         relocatable: bool = True,
         now_ns: int = 0,
-        node_id: int = 0,
     ) -> List[PageFrame]:
         """Allocate ``npages`` frames, trying tiers in ``tier_order``.
 
@@ -155,7 +153,7 @@ class MemoryTopology:
             fid = self._next_fid
             self._next_fid = fid + 1
             frame = PageFrame(
-                fid, tier_name, owner, node_id, obj_type, knode_id, relocatable, now_ns
+                fid, tier_name, owner, obj_type, knode_id, relocatable, now_ns
             )
             key = (tier_name, owner)
             self.frames[fid] = frame

@@ -62,7 +62,6 @@ class NICDriver:
         self._ring: Deque[KernelObject] = deque()
         self.rx_packets = 0
         self.tx_packets = 0
-        self.ring_refills = 0
 
     def fill_ring(self, *, cpu: int = 0) -> int:
         """(Re)populate the rx ring with driver buffers."""
@@ -71,8 +70,6 @@ class NICDriver:
             buf = self.ctx.alloc_object(KernelObjectType.RX_BUF, None, cpu=cpu)
             self._ring.append(buf)
             added += 1
-        if added:
-            self.ring_refills += 1
         return added
 
     def receive(self, port: int, nbytes: int, *, cpu: int = 0) -> SKBuff:

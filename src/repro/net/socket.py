@@ -30,7 +30,6 @@ class Socket:
         self.bytes_received = 0
         self.bytes_sent = 0
         self.packets_received = 0
-        self.packets_sent = 0
 
     @property
     def rx_backlog(self) -> int:

@@ -59,9 +59,7 @@ class NetworkStack:
         if self.tcp.socket_for(port) is not None:
             raise NetworkError(f"port {port} already in use")
         sock_obj = self.ctx.alloc_object(KernelObjectType.SOCK, None, cpu=cpu)
-        inode = self.inodes.create(
-            is_socket=True, backing=sock_obj, now_ns=self.ctx.clock.now()
-        )
+        inode = self.inodes.create(is_socket=True, backing=sock_obj)
         self.ctx.on_inode_create(inode, cpu=cpu)
         self.ctx.adopt_object(sock_obj, inode)
         socket = Socket(self._next_sid, port, inode, sock_obj)
@@ -156,7 +154,6 @@ class NetworkStack:
             self.driver.transmit(skb, cpu=cpu)
             remaining -= chunk
             packets += 1
-        socket.packets_sent += packets
         socket.bytes_sent += nbytes
         return packets
 

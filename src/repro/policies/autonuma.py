@@ -97,7 +97,6 @@ class NumaPolicyBase(TieringPolicy):
         result = self.kernel.engine.migrate(candidates, home_tier, charge_time=False)
         self.kernel.background_cpu_work(result.cost_ns)
         for frame in result.frames:
-            frame.node_id = self.preferred_node()
             if frame.owner is PageOwner.APP:
                 self.migrated_app += 1
             else:
@@ -144,7 +143,6 @@ class NumaAllLocal(NumaPolicyBase):
             if not dst.has_room(1):
                 break
             topo.move_frame(frame, home_tier)
-            frame.node_id = self.preferred_node()
 
 
 class AutoNumaPolicy(NumaPolicyBase):
@@ -199,7 +197,5 @@ class NumaKlocsPolicy(NumaPolicyBase):
             result = self.kernel.engine.migrate(
                 remote[: self.batch - moved], home_tier, charge_time=False
             )
-            for frame in result.frames:
-                frame.node_id = self.preferred_node()
             moved += result.moved
             self.migrated_kernel += result.moved

@@ -80,5 +80,9 @@ class TieringPolicy:
     def on_prefetch(self, inode: "Inode", npages: int) -> None:
         """The readahead engine prefetched data pages of this inode."""
 
+    def on_task_moved(self) -> None:
+        """The scheduler moved the task to another NUMA node
+        (:meth:`Kernel.set_task_node`)."""
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -77,7 +77,6 @@ class KlocsNoMigrationPolicy(TieringPolicy):
         self._manager = kernel.kloc_manager
         self._fast = topology.tier("fast")
         self._live_count = topology.live_count
-        self._app_fraction = 1 - kernel.platform.kloc.fast_capacity_fraction
         # Promotion covers kernel pages too — KLOCs make referenced slow
         # kernel pages identifiable and (via the KLOC allocation interface)
         # relocatable; demotion of kernel objects is handled by knode
@@ -111,12 +110,13 @@ class KlocsNoMigrationPolicy(TieringPolicy):
         immediately: always hot at allocation, gone before pollution is
         possible, so they go fast like uncovered types.
 
-        The share is a sys_kloc_memsize()-style cap with demand-based app
-        priority. Application pages are entitled to (1 -
-        fast_capacity_fraction) of fast memory (§4.2.2: "KLOCs prioritize
-        application pages"), but entitlement the app is not using, beyond
-        a growth margin, is lent to kernel objects, so app-light workloads
-        (Filebench) still fill fast memory with kernel data.
+        The share is the sys_kloc_memsize() cap, read from the KLOC
+        manager's spec, with demand-based app priority. Application pages
+        are entitled to (1 - fast_capacity_fraction) of fast memory
+        (§4.2.2: "KLOCs prioritize application pages"), but entitlement
+        the app is not using, beyond a growth margin, is lent to kernel
+        objects, so app-light workloads (Filebench) still fill fast memory
+        with kernel data.
         """
         if not covered or inode is None or otype in TRANSIENT_TYPES:
             return _FAST_FIRST
@@ -129,7 +129,7 @@ class KlocsNoMigrationPolicy(TieringPolicy):
         fast = self._fast
         cap = fast.capacity_pages
         app_fast = self._live_count.get(_FAST_APP, 0)
-        entitlement = int(cap * self._app_fraction)
+        entitlement = int(cap * (1 - manager.spec.fast_capacity_fraction))
         if app_fast + self.APP_GROWTH_MARGIN < entitlement:
             entitlement = app_fast + self.APP_GROWTH_MARGIN
         # Every live fast frame that is not the app's is a kernel page.

@@ -61,7 +61,6 @@ class LRUScanEngine:
         #: not evicted from fast memory without pressure.
         self.free_watermark_frac = free_watermark_frac
         self.scans = 0
-        self.pages_scanned = 0
         self.promoted = 0
         self.demoted = 0
         self._last_scan_ns = 0
@@ -155,15 +154,14 @@ class LRUScanEngine:
         self.scans += 1
         demote_candidates, promote_candidates, visited = self._collect()
 
-        self.pages_scanned += visited
         # The scan itself burns a CPU at the measured rate (§3.3): charge
         # it as background work spread across the machine's cores.
         self.kernel.background_cpu_work(self.scan_cost_ns(visited))
 
         # THP handling: compound groups move whole-or-not-at-all, and a
         # single referenced member keeps the entire group resident.
-        thp = getattr(self.kernel, "thp", None)
-        if thp is not None and demote_candidates:
+        thp = self.kernel.thp
+        if demote_candidates:
             demote_candidates = [
                 f
                 for f in thp.expand(demote_candidates)
@@ -172,7 +170,7 @@ class LRUScanEngine:
                     f.compound_id, self._last_scan_ns
                 )
             ]
-        if thp is not None and promote_candidates:
+        if promote_candidates:
             promote_candidates = thp.expand(promote_candidates)
 
         demoted = promoted = 0

@@ -109,7 +109,7 @@ class Filesystem:
         self.ops["create"] += 1
 
         inode_obj = self.ctx.alloc_object(KernelObjectType.INODE, None, cpu=cpu)
-        inode = self.inodes.create(backing=inode_obj, now_ns=self.ctx.clock.now())
+        inode = self.inodes.create(backing=inode_obj)
         self.ctx.on_inode_create(inode, cpu=cpu)
         # The inode structure was allocated before its knode existed.
         self.ctx.adopt_object(inode_obj, inode)
@@ -257,7 +257,6 @@ class Filesystem:
 
         if end > inode.size_bytes:
             inode.size_bytes = end
-        inode.mtime = ctx.clock.now()
         if inode.backing is not None:
             ctx.access_object(inode.backing, write=True, cpu=cpu)
         self.journal.log_metadata(inode, INODE_UPDATE_RECORDS, cpu=cpu)
@@ -316,7 +315,6 @@ class Filesystem:
                 if to_fetch:
                     self._readahead(cache, inode, to_fetch, cpu)
 
-        inode.atime = ctx.clock.now()
         return limit - offset
 
     def fsync(self, handle: FileHandle, *, cpu: int = 0, background: bool = False) -> int:

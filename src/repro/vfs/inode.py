@@ -23,21 +23,16 @@ class Inode:
         *,
         is_socket: bool = False,
         backing: Optional[KernelObject] = None,
-        created_at: int = 0,
     ) -> None:
         self.ino = ino
         self.is_socket = is_socket
         #: The slab/KLOC object physically holding this inode structure.
         self.backing = backing
         self.size_bytes = 0
-        self.nlink = 1
         self.open_count = 0
         #: Figure 1: "The inode of each active file or socket maintains a
         #: pointer to a knode data structure."
         self.knode_id: Optional[int] = None
-        self.created_at = created_at
-        self.atime = created_at
-        self.mtime = created_at
         self.deleted = False
 
     @property
@@ -71,11 +66,8 @@ class InodeTable:
         *,
         is_socket: bool = False,
         backing: Optional[KernelObject] = None,
-        now_ns: int = 0,
     ) -> Inode:
-        inode = Inode(
-            self._next_ino, is_socket=is_socket, backing=backing, created_at=now_ns
-        )
+        inode = Inode(self._next_ino, is_socket=is_socket, backing=backing)
         self._next_ino += 1
         self._inodes[inode.ino] = inode
         return inode

@@ -36,7 +36,6 @@ class Journal:
         self._records_in_last = RECORDS_PER_PAGE  # force a page on first record
         self.commits = 0
         self.records = 0
-        self.pages_written = 0
 
     @property
     def txn_pages(self) -> int:
@@ -85,7 +84,6 @@ class Journal:
         for page in pages:
             self.ctx.free_object(page, cpu=cpu)
         self.commits += 1
-        self.pages_written += npages
         return npages
 
     def __repr__(self) -> str:

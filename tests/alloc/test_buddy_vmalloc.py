@@ -1,4 +1,4 @@
-"""Tests for the page allocator and vmalloc."""
+"""Tests for the page allocator."""
 
 import pytest
 
@@ -6,9 +6,8 @@ from repro.core.clock import Clock
 from repro.core.config import fast_dram_spec, slow_dram_spec
 from repro.core.errors import SimulationError
 from repro.core.objtypes import KernelObjectType
-from repro.core.units import MB, PAGE_SIZE
+from repro.core.units import MB
 from repro.alloc.buddy import PageAllocator
-from repro.alloc.vmalloc import VmallocAllocator
 from repro.mem.frame import PageOwner
 from repro.mem.topology import MemoryTopology
 
@@ -76,53 +75,3 @@ class TestPageAllocator:
         pa = PageAllocator(topo, clock)
         pa.alloc_frames(2, ["fast"], PageOwner.APP)
         assert clock.now() > 0
-
-
-class TestVmalloc:
-    def test_area_spans_pages(self, topo, clock):
-        vm = VmallocAllocator(topo, clock)
-        area = vm.alloc(3 * PAGE_SIZE + 1, ["fast"])
-        assert area.npages == 4
-        assert area.live
-
-    def test_relocatable_frames(self, topo, clock):
-        vm = VmallocAllocator(topo, clock)
-        area = vm.alloc(PAGE_SIZE, ["fast"])
-        assert all(f.relocatable for f in area.frames)
-
-    def test_free_releases_everything(self, topo, clock):
-        vm = VmallocAllocator(topo, clock)
-        area = vm.alloc(4 * PAGE_SIZE, ["fast"])
-        vm.free(area)
-        assert not area.live
-        assert topo.tier("fast").used_pages == 0
-        assert vm.live_bytes() == 0
-
-    def test_double_free_rejected(self, topo, clock):
-        vm = VmallocAllocator(topo, clock)
-        area = vm.alloc(PAGE_SIZE, ["fast"])
-        vm.free(area)
-        with pytest.raises(SimulationError):
-            vm.free(area)
-
-    def test_zero_size_rejected(self, topo, clock):
-        vm = VmallocAllocator(topo, clock)
-        with pytest.raises(ValueError):
-            vm.alloc(0, ["fast"])
-
-    def test_vmalloc_slower_than_page_alloc(self, topo, clock):
-        """§3.3: vmalloc pays page-table setup per page."""
-        vm = VmallocAllocator(topo, clock)
-        t0 = clock.now()
-        vm.alloc(PAGE_SIZE, ["fast"])
-        vm_cost = clock.now() - t0
-        pa = PageAllocator(topo, clock)
-        t0 = clock.now()
-        pa.alloc_frames(1, ["fast"], PageOwner.APP)
-        pa_cost = clock.now() - t0
-        assert vm_cost > pa_cost
-
-    def test_live_bytes(self, topo, clock):
-        vm = VmallocAllocator(topo, clock)
-        vm.alloc(2 * PAGE_SIZE, ["fast"])
-        assert vm.live_bytes() == 2 * PAGE_SIZE

@@ -1,12 +1,11 @@
 """Test-suite defaults for the parallel experiment engine.
 
-Experiments now route through ``repro.experiments.parallel``, which
-caches results on disk and logs one stderr line per grid cell. Tests
-must not litter the working tree with ``.repro_cache/`` or noise the
-pytest output, so the cache is redirected to a session-scoped temp
-directory (still exercising the cache code paths) and the sweep log is
-silenced. Individual tests override these via monkeypatch when they
-assert on cache placement or log output.
+Experiments route through ``repro.experiments.parallel``, which caches
+results on disk and logs one stderr line per grid cell (pytest captures
+it). Tests must not litter the working tree with ``.repro_cache/``, so
+the cache is redirected to a session-scoped temp directory (still
+exercising the cache code paths). Individual tests override this via
+monkeypatch when they assert on cache placement.
 """
 
 import pytest
@@ -18,4 +17,3 @@ def _engine_test_defaults(tmp_path_factory, monkeypatch):
         "REPRO_CACHE_DIR",
         str(tmp_path_factory.getbasetemp() / "repro_cache"),
     )
-    monkeypatch.setenv("REPRO_SWEEP_QUIET", "1")

@@ -1,9 +1,10 @@
-"""Tests for the two-list LRU and the per-CPU lists."""
+"""Tests for the two-list LRU and the per-CPU knode lists."""
 
 import pytest
 
 from repro.ds.lru import ActiveInactiveLRU
-from repro.ds.percpu import PerCPUListSet
+from repro.kloc.kmap import KMap
+from repro.kloc.percpu_cache import PerCPUKnodeCache
 
 
 class TestActiveInactiveLRU:
@@ -68,42 +69,58 @@ class TestActiveInactiveLRU:
 
 
 class TestPerCPUListSet:
+    """§4.3's per-CPU lists, driven through the one class that holds
+    them (:class:`PerCPUKnodeCache`); items are knode ids."""
+
+    @staticmethod
+    def make(num_cpus, max_per_cpu):
+        return PerCPUKnodeCache(KMap(), num_cpus=num_cpus, max_per_cpu=max_per_cpu)
+
     def test_bounded_size_evicts_lru(self):
-        lists = PerCPUListSet(num_cpus=1, max_per_cpu=2)
-        lists.record(0, "a")
-        lists.record(0, "b")
-        evicted = lists.record(0, "c")
-        assert evicted == "a"
-        assert lists.entries(0) == ["b", "c"]
+        lists = self.make(num_cpus=1, max_per_cpu=2)
+        lists.record(1, cpu=0)
+        lists.record(2, cpu=0)
+        lists.record(1, cpu=0)  # refresh: 2 is now the LRU entry
+        evicted = lists.record(3, cpu=0)
+        assert evicted == 2
+        assert lists.entries(0) == [1, 3]
+        assert lists.total_entries == lists.recount() == 2
 
     def test_same_item_on_multiple_cpus(self):
-        lists = PerCPUListSet(num_cpus=3, max_per_cpu=4)
-        lists.record(0, "k")
-        lists.record(2, "k")
-        assert lists.find_cpus("k") == [0, 2]
+        lists = self.make(num_cpus=3, max_per_cpu=4)
+        lists.record(7, cpu=0)
+        lists.record(7, cpu=2)
+        assert lists.find_cpu(7) == 2
+        assert lists.total_entries == lists.recount() == 2
 
     def test_invalidate_coherence(self):
-        lists = PerCPUListSet(num_cpus=3, max_per_cpu=4)
-        lists.record(0, "k")
-        lists.record(1, "k")
-        assert lists.invalidate("k") == 2
-        assert lists.find_cpus("k") == []
+        lists = self.make(num_cpus=3, max_per_cpu=4)
+        lists.record(7, cpu=0)
+        lists.record(7, cpu=1)
+        assert lists.invalidate(7) == 2
+        assert lists.find_cpu(7) is None
+        assert lists.entries(0) == lists.entries(1) == []
+        assert lists.total_entries == lists.recount() == 0
 
     def test_invalidate_absent(self):
-        lists = PerCPUListSet(num_cpus=1, max_per_cpu=1)
-        assert lists.invalidate("nope") == 0
-        assert lists.invalidations == 0
+        lists = self.make(num_cpus=1, max_per_cpu=1)
+        assert lists.invalidate(99) == 0
+        assert lists.total_entries == 0
 
     def test_all_entries_dedup(self):
-        lists = PerCPUListSet(num_cpus=2, max_per_cpu=4)
-        lists.record(0, "k")
-        lists.record(1, "k")
-        lists.record(1, "j")
-        assert sorted(lists.all_entries()) == ["j", "k"]
+        """Re-recording a knode on a CPU refreshes its one entry; the
+        same knode on another CPU is a second entry."""
+        lists = self.make(num_cpus=2, max_per_cpu=4)
+        lists.record(7, cpu=1)
+        lists.record(8, cpu=1)
+        lists.record(7, cpu=1)
+        lists.record(7, cpu=0)
+        assert lists.entries(1) == [8, 7]
+        assert lists.entries(0) == [7]
+        assert lists.total_entries == lists.recount() == 3
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            PerCPUListSet(num_cpus=0, max_per_cpu=1)
+            self.make(num_cpus=0, max_per_cpu=1)
         with pytest.raises(ValueError):
-            PerCPUListSet(num_cpus=1, max_per_cpu=0)
-
+            self.make(num_cpus=1, max_per_cpu=0)

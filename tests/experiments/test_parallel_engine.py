@@ -193,8 +193,7 @@ class TestJobsControl:
         with pytest.raises(ValueError):
             execute_spec(dataclasses.replace(tiny_spec(), kind="warp"))
 
-    def test_sweep_log_lists_each_cell(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_SWEEP_QUIET", raising=False)
+    def test_sweep_log_lists_each_cell(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         run_specs([tiny_spec()], jobs=1, cache=cache)
         run_specs([tiny_spec()], jobs=1, cache=cache)
@@ -218,7 +217,6 @@ class TestPrefetchStudy:
 
     def test_second_study_is_served_from_cache(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_SWEEP_QUIET", raising=False)
         first = run_prefetch_study(ops=TINY)
         capsys.readouterr()
         second = run_prefetch_study(ops=TINY)
@@ -230,7 +228,6 @@ class TestPrefetchStudy:
     def test_readahead_on_cells_are_fig4_cells(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         run_figure4(workloads=("rocksdb",), policies=("klocs", "naive"), ops=TINY)
-        monkeypatch.delenv("REPRO_SWEEP_QUIET", raising=False)
         capsys.readouterr()
         run_prefetch_study(ops=TINY)
         # Lines arrive in completion order; "[sweep] i/n" gives grid order.

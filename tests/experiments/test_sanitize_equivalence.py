@@ -16,7 +16,7 @@ fresh kernel).
 
 cassandra/klocs is the probe pair: it exercises every sanitizer hook at
 once — slab and kloc object free paths, frame frees from page-cache
-eviction and writeback, vmalloc areas, and the migration daemon's
+eviction and writeback, and the migration daemon's
 scan-boundary counter cross-checks.
 
 CI treats a *skip* of this module as a failure (the sanitize job greps

@@ -85,16 +85,6 @@ def test_frame_double_free_detected(sankernel):
     assert "tests/kernel/test_sanitizer.py" in msg
 
 
-def test_vmalloc_double_vfree_detected(sankernel):
-    area = sankernel.vmalloc.alloc(4096 * 3, TIERS)
-    sankernel.vmalloc.free(area)
-    with pytest.raises(SanitizerError) as exc:
-        sankernel.vmalloc.free(area)
-    msg = str(exc.value)
-    assert "double vfree" in msg and f"area {area.area_id}" in msg
-    assert "tests/kernel/test_sanitizer.py" in msg
-
-
 # ----------------------------------------------------------------------
 # Injected bug 2: use-after-free through a retained handle
 # ----------------------------------------------------------------------
@@ -166,11 +156,10 @@ def test_kloc_counter_drift_detected(sankernel):
 
 def test_percpu_entry_drift_detected(sankernel):
     _populate(sankernel)
-    lists = sankernel.kloc_manager.percpu.lists
-    lists.total_entries += 3
+    sankernel.kloc_manager.percpu.total_entries += 3
     with pytest.raises(SanitizerError) as exc:
         sankernel.kloc_manager.verify_counters()
-    assert "PerCPUListSet.total_entries" in str(exc.value)
+    assert "PerCPUKnodeCache.total_entries" in str(exc.value)
 
 
 def test_drift_surfaces_at_scan_boundary(sankernel):

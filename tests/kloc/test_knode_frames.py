@@ -219,7 +219,7 @@ def test_frames_cache_is_reused_until_membership_changes():
     harness = _Harness()
     harness.step(0, 0)
     inode = harness._inode("/f0")
-    knode = harness.kernel.kloc_manager.kmap.get_uncounted(inode.knode_id)
+    knode = harness.kernel.kloc_manager.kmap.lookup(inode.knode_id)
     first = knode.frames()
     cached = knode._frames
     assert knode.frames() == first and knode._frames is cached

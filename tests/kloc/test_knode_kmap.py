@@ -7,6 +7,9 @@ from repro.core.errors import SimulationError
 from repro.core.objtypes import KernelObjectType
 from repro.kloc.kmap import KMap
 from repro.kloc.knode import KNODE_STRUCT_BYTES, RB_POINTER_BYTES, Knode
+from repro.kloc.manager import KlocManager
+from repro.kloc.percpu_cache import PERCPU_ENTRY_BYTES
+from repro.vfs.inode import Inode
 from tests.fakes import FakeKernel
 
 
@@ -116,10 +119,16 @@ class TestKnodeHotness:
         assert knode.is_cold(cold_age=2)
 
     def test_metadata_bytes(self, kernel):
-        knode = Knode(1, ino=10)
+        """Table 6's bytes for one knode: its struct, a pointer per
+        tracked object and its one per-CPU list entry."""
+        manager = KlocManager(kernel.clock, num_cpus=2)
+        inode = Inode(10)
+        manager.create_knode(inode)
         for _ in range(3):
-            knode.add_obj(make_obj(kernel))
-        assert knode.metadata_bytes() == KNODE_STRUCT_BYTES + 3 * RB_POINTER_BYTES
+            manager.add_object(inode, make_obj(kernel))
+        assert manager.metadata_bytes() == (
+            KNODE_STRUCT_BYTES + 3 * RB_POINTER_BYTES + PERCPU_ENTRY_BYTES
+        )
 
 
 class TestKMap:
@@ -183,17 +192,20 @@ class TestKMap:
         lru = kmap.get_lru_knodes(cold_age=3)
         assert lru == [aged]
 
+    def test_total_metadata(self, kernel):
+        """Two empty knodes: two knode structs and the per-CPU entry
+        each was recorded with at creation."""
+        manager = KlocManager(kernel.clock, num_cpus=2)
+        manager.create_knode(Inode(1))
+        manager.create_knode(Inode(2))
+        assert len(manager.kmap) == 2
+        assert manager.metadata_bytes() == 2 * (KNODE_STRUCT_BYTES + PERCPU_ENTRY_BYTES)
+
     def test_lru_limit(self):
         kmap = KMap()
         for i in range(10):
             kmap.add(Knode(i + 1, ino=i))
         assert len(kmap.get_lru_knodes(limit=4)) == 4
-
-    def test_total_metadata(self):
-        kmap = KMap()
-        kmap.add(Knode(1, ino=1))
-        kmap.add(Knode(2, ino=2))
-        assert kmap.total_metadata_bytes() == 2 * KNODE_STRUCT_BYTES
 
 
 def test_knode_allocation_tradeoff():
@@ -206,7 +218,7 @@ def test_knode_allocation_tradeoff():
     run = run_two_tier("rocksdb", "klocs", ops=4000)
 
     # Slab-speed allocation is the fast end of the allocator families.
-    assert ALLOC_COSTS["slab"] < ALLOC_COSTS["kloc"] < ALLOC_COSTS["vmalloc"]
+    assert ALLOC_COSTS["slab"] < ALLOC_COSTS["kloc"] < ALLOC_COSTS["page"]
 
     # Re-derive the population ratio on a fresh kernel.
     kernel, _ = build_two_tier_kernel("klocs", scale_factor=1024)

@@ -173,7 +173,7 @@ class TestPerCPUFastPath:
         knode = Knode(1, ino=10)
         kmap.add(knode)
         cache = PerCPUKnodeCache(kmap, num_cpus=2, max_per_cpu=4)
-        cache.note_access(knode, cpu=0)
+        cache.record(knode.knode_id, cpu=0)
         # cpu 0's entry does not serve cpu 1: its lookup misses.
         assert cache.lookup(1, cpu=1) == (knode, True)
         assert (cache.fast_hits, cache.slow_lookups) == (0, 1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.units import KB
 from repro.kloc.api import KlocAPI
+from repro.mem.frame import PageOwner
 from repro.platforms.twotier import build_two_tier_kernel
 
 SCALE = 4096
@@ -14,7 +15,6 @@ class TestMemsizeEndToEnd:
         kernel, _ = build_two_tier_kernel("klocs", scale_factor=SCALE)
         api = KlocAPI(kernel.kloc_manager)
         api.sys_kloc_memsize("fast", 0.05)
-        # The daemon reads the spec through the manager: new cap applies.
         assert kernel.kloc_manager.spec.fast_capacity_fraction == 0.05
 
         fh = kernel.fs.create("/big")
@@ -23,28 +23,25 @@ class TestMemsizeEndToEnd:
         kernel.kloc_daemon.free_target_frac = 1.0
         kernel.kloc_daemon.downgrade_knode(knode)
         # Try to pull everything back: the 5% budget must bound it.
-        kernel.kloc_daemon.spec = kernel.kloc_manager.spec
-        moved = kernel.kloc_daemon.upgrade_knode(knode, limit=10_000)
+        kernel.kloc_daemon.upgrade_knode(knode, limit=10_000)
         fast = kernel.topology.tier("fast")
         budget = int(fast.capacity_pages * 0.05)
         assert kernel.topology.kernel_pages_in("fast") <= budget + 1
 
     def test_placement_respects_tightened_cap(self):
         kernel, policy = build_two_tier_kernel("klocs", scale_factor=SCALE)
-        api = KlocAPI(kernel.kloc_manager)
-        api.sys_kloc_memsize("fast", 0.01)
-        # Policy reads the platform spec; mirror the syscall there too
-        # (the kernel-facade path used by tier_order_kernel).
-        object.__setattr__(kernel.platform.kloc, "fast_capacity_fraction", 0.01)
+        fast = kernel.topology.tier("fast")
+        # The app holds 200 fast pages, so its entitlement under a 1% cap
+        # (its pages plus the growth margin) leaves the kernel 56 pages;
+        # the default 50% cap would leave it 256.
+        kernel.alloc_app_pages(200)
+        KlocAPI(kernel.kloc_manager).sys_kloc_memsize("fast", 0.01)
         fh = kernel.fs.create("/f")
         kernel.fs.write(fh, 0, 512 * KB)
-        fast = kernel.topology.tier("fast")
-        cap = int(fast.capacity_pages * 0.01)
-        from repro.mem.frame import PageOwner
-
-        cache_fast = kernel.topology.live_count.get(
-            ("fast", PageOwner.PAGE_CACHE), 0
-        )
-        # The non-transient kernel share stays near the tightened cap
-        # (transient journal/bio objects are exempt by design).
-        assert cache_fast <= cap + kernel.policy.APP_GROWTH_MARGIN
+        live = kernel.topology.live_count
+        app_fast = live.get(("fast", PageOwner.APP), 0)
+        assert app_fast == 200
+        kernel_share = fast.capacity_pages - app_fast - policy.APP_GROWTH_MARGIN
+        # Transient journal/bio objects are exempt by design; the page
+        # cache is not.
+        assert live.get(("fast", PageOwner.PAGE_CACHE), 0) <= kernel_share

@@ -35,8 +35,8 @@ def recomputed_bytes(manager):
     knodes = manager.kmap.all_knodes()
     objects = sum(k.object_count for k in knodes)
     entries = sum(
-        len(manager.percpu.lists.entries(c))
-        for c in range(manager.percpu.lists.num_cpus)
+        len(manager.percpu.entries(c))
+        for c in range(manager.percpu.num_cpus)
     )
     return (
         KNODE_STRUCT_BYTES * len(knodes)
@@ -78,16 +78,16 @@ class TestPeakCapture:
         manager.create_knode(inode)
         obj = kernel.alloc_object(KernelObjectType.DENTRY)
         manager.add_object(inode, obj)
-        base_entries = manager.percpu.lists.total_entries
+        base_entries = manager.percpu.total_entries
         for cpu in range(4):
             manager.note_access(obj, cpu=cpu)
             assert manager.peak_metadata_bytes >= manager.metadata_bytes()
-        grown = manager.percpu.lists.total_entries - base_entries
+        grown = manager.percpu.total_entries - base_entries
         assert grown > 0
         assert manager.peak_metadata_bytes >= (
             KNODE_STRUCT_BYTES
             + RB_POINTER_BYTES
-            + PERCPU_ENTRY_BYTES * manager.percpu.lists.total_entries
+            + PERCPU_ENTRY_BYTES * manager.percpu.total_entries
         )
 
     def test_hit_path_refresh_does_not_change_peak(self, kernel, manager):

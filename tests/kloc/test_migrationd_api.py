@@ -27,9 +27,8 @@ def manager(kernel):
 @pytest.fixture
 def daemon(kernel, manager):
     engine = MigrationEngine(kernel.topology, kernel.clock, MigrationSpec())
-    daemon = KlocMigrationDaemon(
-        manager, engine, kernel.topology, spec=KLOCSpec(cold_age_rounds=2)
-    )
+    manager.spec = KLOCSpec(cold_age_rounds=2)
+    daemon = KlocMigrationDaemon(manager, engine, kernel.topology)
     # The daemon reclaims only under memory pressure; tests exercise its
     # mechanics directly, so treat fast memory as permanently pressured.
     daemon.free_target_frac = 1.0
@@ -111,12 +110,8 @@ class TestUpgrade:
 
     def test_capacity_cap_respected(self, kernel, manager):
         engine = MigrationEngine(kernel.topology, kernel.clock, MigrationSpec())
-        capped = KlocMigrationDaemon(
-            manager,
-            engine,
-            kernel.topology,
-            spec=KLOCSpec(fast_capacity_fraction=0.01),
-        )
+        KlocAPI(manager).sys_kloc_memsize("fast", 0.01)
+        capped = KlocMigrationDaemon(manager, engine, kernel.topology)
         capped.free_target_frac = 1.0
         inode, objs = open_file_with_pages(kernel, manager, 1, 6)
         inode.close()

@@ -66,7 +66,6 @@ def reference_numa_scan(pol, now_ns=0):
     result = pol.kernel.engine.migrate(candidates, home_tier, charge_time=False)
     pol.kernel.background_cpu_work(result.cost_ns)
     for frame in result.frames:
-        frame.node_id = pol.preferred_node()
         if frame.owner is PageOwner.APP:
             pol.migrated_app += 1
         else:

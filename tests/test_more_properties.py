@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.core.clock import Clock
 from repro.core.config import MigrationSpec, fast_dram_spec, slow_dram_spec
 from repro.core.units import MB
-from repro.ds.percpu import PerCPUListSet
+from repro.kloc.kmap import KMap
+from repro.kloc.percpu_cache import PerCPUKnodeCache
 from repro.mem.frame import PageOwner
 from repro.mem.migration import MigrationEngine
 from repro.mem.topology import MemoryTopology
@@ -72,17 +73,24 @@ def test_migration_roundtrips_preserve_accounting(directions, threads):
     st.integers(min_value=1, max_value=8),
 )
 def test_percpu_lists_never_exceed_cap_and_stay_coherent(ops, cap):
-    lists = PerCPUListSet(num_cpus=4, max_per_cpu=cap)
+    lists = PerCPUKnodeCache(KMap(), num_cpus=4, max_per_cpu=cap)
     for cpu, item, record in ops:
         if record:
-            lists.record(cpu, item)
+            lists.record(item, cpu=cpu)
+            assert lists.entries(cpu)[-1] == item
         else:
             lists.invalidate(item)
-            assert lists.find_cpus(item) == []
+            assert lists.find_cpu(item) is None
+        assert lists.total_entries == lists.recount()
     for cpu in range(4):
         entries = lists.entries(cpu)
         assert len(entries) <= cap
         assert len(entries) == len(set(entries))
+        for item in entries:
+            assert lists.find_cpu(item) is not None
+    for item in range(21):
+        holders = [cpu for cpu in range(4) if item in lists.entries(cpu)]
+        assert lists.find_cpu(item) == (max(holders) if holders else None)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
