@@ -4,7 +4,6 @@ from repro.core.clock import Clock
 from repro.core.errors import (
     AllocationError,
     ConfigError,
-    MigrationError,
     ReproError,
     SimulationError,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "DeterministicRNG",
     "ReproError",
     "AllocationError",
-    "MigrationError",
     "SimulationError",
     "ConfigError",
     "PAGE_SIZE",

@@ -34,15 +34,6 @@ class AllocationError(ReproError):
     """A memory allocation could not be satisfied by any tier."""
 
 
-class MigrationError(ReproError):
-    """A page or kernel object could not be migrated.
-
-    Raised, for example, when a caller asks to relocate a slab-allocated
-    object: slab allocations are referenced by physical address and are
-    non-relocatable by construction (paper §3.3 / §4.4).
-    """
-
-
 class VFSError(ReproError):
     """Filesystem-level failure (missing file, bad path, closed handle)."""
 

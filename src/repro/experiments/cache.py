@@ -76,7 +76,6 @@ class RunSpec:
     seed: int = 42
     registry: Optional[Tuple[str, ...]] = None
     readahead_enabled: bool = True
-    measure_setup: bool = False
 
     def key(self) -> str:
         """Stable content hash of the spec + simulator version."""
@@ -123,7 +122,6 @@ def two_tier_spec(
     registry: Optional[KlocRegistry] = None,
     readahead_enabled: bool = True,
     run_seed: Optional[int] = None,
-    measure_setup: bool = False,
 ) -> RunSpec:
     """Build a spec mirroring :func:`run_two_tier`'s signature, with the
     op budget and seed resolved to concrete values (cache keys must not
@@ -139,7 +137,6 @@ def two_tier_spec(
         seed=run_seed if run_seed is not None else seed(),
         registry=registry_names(registry),
         readahead_enabled=readahead_enabled,
-        measure_setup=measure_setup,
     )
 
 

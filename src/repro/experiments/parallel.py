@@ -72,7 +72,6 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
             registry=spec.build_registry(),
             readahead_enabled=spec.readahead_enabled,
             run_seed=spec.seed,
-            measure_setup=spec.measure_setup,
         )
         return run_to_payload(run)
     if spec.kind == "optane":

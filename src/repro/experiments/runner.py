@@ -65,7 +65,6 @@ def run_two_tier(
     registry: Optional[KlocRegistry] = None,
     readahead_enabled: bool = True,
     run_seed: Optional[int] = None,
-    measure_setup: bool = False,
 ) -> TwoTierRun:
     """One measured workload run on the two-tier platform.
 
@@ -81,15 +80,10 @@ def run_two_tier(
         seed=run_seed if run_seed is not None else seed(),
         registry=registry,
         readahead_enabled=readahead_enabled,
-        # This runner never reads lifetime metrics, so the retired-frame
-        # log is dead weight — don't let it grow with every freed page.
-        # (Fig 2's characterization builds its own kernel, uncapped.)
-        retired_limit=0,
     )
     wl = make_workload(kernel, workload, scale_factor=scale_factor)
     wl.setup()
-    if not measure_setup:
-        kernel.reset_reference_counters()
+    kernel.reset_reference_counters()
     result = wl.run(ops if ops is not None else ops_for(workload))
 
     from repro.mem.frame import PageOwner
@@ -142,7 +136,6 @@ def run_optane_interference(
         policy,
         scale_factor=scale_factor,
         seed=run_seed if run_seed is not None else seed(),
-        retired_limit=0,  # throughput-only measurement; no lifetime reads
     )
     wl = make_workload(kernel, workload, scale_factor=scale_factor)
     wl.setup()

@@ -55,7 +55,6 @@ class Kernel:
         seed: int = 42,
         page_cache_max_pages: Optional[int] = None,
         readahead_enabled: bool = True,
-        retired_limit: Optional[int] = None,
     ) -> None:
         self.platform = platform
         self.policy = policy
@@ -64,16 +63,14 @@ class Kernel:
         self.num_cpus = platform.num_cpus
         self.cpus = CpuSet(platform.num_cpus)
 
-        self.topology = MemoryTopology(
-            [platform.fast, platform.slow], retired_limit=retired_limit
-        )
+        self.topology = MemoryTopology([platform.fast, platform.slow])
         # Direct name → tier map for the access hot path (skips the
         # topology's checked lookup on every charged reference).
         self._tiers = self.topology.tiers
         #: The machine's shared sanitizer ledger (None unless
         #: ``REPRO_SANITIZE=1`` was set when the topology was built).
         self._san = self.topology.sanitizer
-        self.engine = MigrationEngine(self.topology, self.clock, platform.migration)
+        self.engine = MigrationEngine(self.topology, platform.migration)
         self.storage = NVMeDevice(platform.storage)
         self.thp = CompoundRegistry()
 

@@ -15,7 +15,6 @@ from repro.core.errors import ConfigError
 
 if TYPE_CHECKING:
     from repro.alloc.base import KernelObject
-    from repro.kloc.kmap import KMap
     from repro.kloc.knode import Knode
     from repro.kloc.manager import KlocManager
     from repro.vfs.inode import Inode
@@ -57,9 +56,7 @@ class KlocAPI:
 
     def knode_add_obj(self, knode: "Knode", obj: "KernelObject") -> None:
         """Add kernel object to a knode."""
-        obj.knode_id = knode.knode_id
-        knode.add_obj(obj)
-        self.manager._tracked_objects += 1  # noqa: SLF001 - same accounting path
+        self.manager.attach_object(knode, obj)
 
     def itr_knode_slab(self, knode: "Knode") -> Iterator["KernelObject"]:
         """Iterate knode's kernel objects in the slab tree."""
@@ -71,12 +68,11 @@ class KlocAPI:
 
     def add_to_kmap(self, knode: "Knode") -> None:
         """Add knode to the global kmap."""
-        self.manager.kmap.add(knode)
+        self.manager.register_knode(knode)
 
-    def get_lru_knodes(self, kmap: Optional["KMap"] = None, limit: int = 32) -> List["Knode"]:
+    def get_lru_knodes(self, limit: int = 32) -> List["Knode"]:
         """Get LRU knodes from kmap."""
-        target = kmap if kmap is not None else self.manager.kmap
-        return target.get_lru_knodes(limit)
+        return self.manager.kmap.get_lru_knodes(limit)
 
     def find_cpu(self, knode: "Knode") -> Optional[int]:
         """Find CPU that last accessed a knode."""

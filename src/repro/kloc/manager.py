@@ -83,13 +83,23 @@ class KlocManager:
         if inode.knode_id is not None:
             raise SimulationError(f"inode {inode.ino} already has a knode")
         knode = Knode(self._next_knode_id, inode.ino, created_at=self.clock.now())
-        self._next_knode_id += 1
         inode.knode_id = knode.knode_id
-        self.kmap.add(knode)
         self.percpu.record(knode.knode_id, cpu=cpu)
-        self.knodes_created += 1
-        self._note_metadata()
+        self.register_knode(knode)
         return knode
+
+    def register_knode(self, knode: Knode) -> None:
+        """add_to_kmap(): insert a knode into the kmap and account for it.
+
+        The one registration path: bumps ``knodes_created``, moves the
+        next-id high-water mark past the knode's id and samples the
+        metadata peak.
+        """
+        self.kmap.add(knode)
+        self.knodes_created += 1
+        if knode.knode_id >= self._next_knode_id:
+            self._next_knode_id = knode.knode_id + 1
+        self._note_metadata()
 
     def open_knode(self, inode: Inode, *, cpu: int = 0) -> Optional[Knode]:
         knode = self.knode_for_inode(inode, cpu=cpu)
@@ -139,6 +149,14 @@ class KlocManager:
     # ------------------------------------------------------------------
     # object membership
     # ------------------------------------------------------------------
+
+    def attach_object(self, knode: Knode, obj: KernelObject) -> None:
+        """knode_add_obj(): make ``obj`` a member of ``knode`` and account
+        for its rb-tree pointer."""
+        obj.knode_id = knode.knode_id
+        knode.add_obj(obj)
+        self._tracked_objects += 1
+        self._note_metadata()
 
     @hot
     def add_object(self, inode: Inode, obj: KernelObject, *, cpu: int = 0) -> bool:

@@ -19,7 +19,7 @@ Each run:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.mem.frame import PageFrame
 from repro.mem.migration import MigrationEngine
@@ -40,10 +40,10 @@ class KlocMigrationDaemon:
         engine: MigrationEngine,
         topology: MemoryTopology,
         *,
+        kloc_allocator: "KlocAllocator",
+        background_charge: Callable[[int], None],
         fast_tier: str = "fast",
         slow_tier: str = "slow",
-        kloc_allocator: Optional["KlocAllocator"] = None,
-        background_charge=None,
     ) -> None:
         self.manager = manager
         self.engine = engine
@@ -86,11 +86,10 @@ class KlocMigrationDaemon:
         """Live frames under the knode subtree, then the KLOC allocator's live
         pages of the knode not among them (read fresh; see docs/API.md)."""
         frames = knode.frames()
-        if self.kloc_allocator is not None:
-            pages = self.kloc_allocator.knode_frames(knode.knode_id)
-            if pages:
-                have = set(frames)
-                frames += [f for f in pages if f.freed_at is None and f not in have]
+        pages = self.kloc_allocator.knode_frames(knode.knode_id)
+        if pages:
+            have = set(frames)
+            frames += [f for f in pages if f.freed_at is None and f not in have]
         return frames
 
     def downgrade_knode(self, knode: "Knode") -> int:
@@ -100,9 +99,8 @@ class KlocMigrationDaemon:
         ]
         if not victims:
             return 0
-        result = self.engine.migrate(victims, self.slow_tier, charge_time=False)
-        if self.background_charge is not None:
-            self.background_charge(result.cost_ns)
+        result = self.engine.migrate(victims, self.slow_tier)
+        self.background_charge(result.cost_ns)
         self.downgraded_pages += result.moved
         return result.moved
 
@@ -130,9 +128,8 @@ class KlocMigrationDaemon:
         ][:headroom]
         if not candidates:
             return 0
-        result = self.engine.migrate(candidates, self.fast_tier, charge_time=False)
-        if self.background_charge is not None:
-            self.background_charge(result.cost_ns)
+        result = self.engine.migrate(candidates, self.fast_tier)
+        self.background_charge(result.cost_ns)
         self.upgraded_pages += result.moved
         return result.moved
 

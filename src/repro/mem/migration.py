@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.clock import Clock
 from repro.core.config import MigrationSpec
-from repro.core.errors import MigrationError
 from repro.core.units import PAGE_SIZE
 from repro.mem.frame import PageFrame
 from repro.mem.topology import MemoryTopology
@@ -35,39 +33,33 @@ class MigrationResult:
 
 
 class MigrationEngine:
-    """Moves batches of page frames between tiers, charging virtual time."""
+    """Moves batches of page frames between tiers and prices each batch.
+
+    Migration is asynchronous work done by dedicated kernel threads (§5):
+    the engine never advances the clock. Each caller decides what the
+    returned ``cost_ns`` is charged to — the daemons charge it as
+    background CPU work.
+    """
 
     def __init__(
         self,
         topology: MemoryTopology,
-        clock: Clock,
         spec: Optional[MigrationSpec] = None,
     ) -> None:
         self.topology = topology
-        self.clock = clock
         self.spec = spec or MigrationSpec()
         self.total_moved = 0
         self.total_cost_ns = 0
 
     def migrate(
-        self,
-        frames: Iterable[PageFrame],
-        dst_tier_name: str,
-        *,
-        strict: bool = False,
-        charge_time: bool = True,
+        self, frames: Iterable[PageFrame], dst_tier_name: str
     ) -> MigrationResult:
         """Migrate a batch of frames to ``dst_tier_name``.
 
-        Non-relocatable (slab physical-address) frames are skipped — or, in
-        ``strict`` mode, abort the batch with :class:`MigrationError`,
-        modeling a kernel that never even attempts them. Frames pinned to
-        fast memory by the ping-pong guard (§4.5 8-bit counters) are
-        skipped when moving *away* from fast memory.
-
-        ``charge_time=False`` models fully-asynchronous migration daemons
-        whose copy work overlaps application progress; the bandwidth cost
-        is still recorded in the engine's counters.
+        Non-relocatable (slab physical-address) frames are skipped. Frames
+        pinned to fast memory by the ping-pong guard (§4.5 8-bit counters)
+        are skipped when moving *away* from fast memory. The batch's cost
+        is returned and recorded in the engine's counters, not charged.
         """
         dst = self.topology.tier(dst_tier_name)
         result = MigrationResult()
@@ -76,11 +68,6 @@ class MigrationEngine:
             if not frame.live or frame.tier_name == dst_tier_name:
                 continue
             if not frame.relocatable:
-                if strict:
-                    raise MigrationError(
-                        f"frame {frame.fid} ({frame.obj_type or frame.owner.value}) "
-                        "is slab-allocated and not relocatable"
-                    )
                 result.skipped_nonrelocatable += 1
                 continue
             if frame.pinned_fast and dst_tier_name != "fast":
@@ -128,8 +115,6 @@ class MigrationEngine:
 
         self.total_moved += moved
         self.total_cost_ns += result.cost_ns
-        if charge_time and result.cost_ns:
-            self.clock.advance(result.cost_ns)
         return result
 
     def __repr__(self) -> str:

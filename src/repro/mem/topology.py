@@ -2,14 +2,14 @@
 
 The topology is deliberately dumb about *policy*: callers (the kernel
 facade and the tiering policies) decide which tier to try first and what
-to do on pressure. The topology enforces capacity, tracks every live and
-retired frame, and keeps the per-(tier, owner) counters that the
-motivation and evaluation figures are built from.
+to do on pressure. The topology enforces capacity, tracks every live
+frame, and keeps the per-(tier, owner) counters and the freed-app-page
+lifetime totals that the motivation and evaluation figures are built from.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.errors import AllocationError, SimulationError
@@ -18,10 +18,6 @@ from repro.core.hotpath import hot
 from repro.core.sanitize import Sanitizer, call_site, sanitize_enabled
 from repro.mem.frame import PageFrame, PageOwner
 from repro.mem.tier import MemoryTier
-
-
-def _by_fid(frame: PageFrame) -> int:
-    return frame.fid
 
 
 class MemoryTopology:
@@ -43,12 +39,7 @@ class MemoryTopology:
     `free`, `move_frame`) and cross-checked by :meth:`check_invariants`.
     """
 
-    def __init__(
-        self,
-        tier_specs: Sequence[TierSpec],
-        *,
-        retired_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, tier_specs: Sequence[TierSpec]) -> None:
         if not tier_specs:
             raise ValueError("topology needs at least one tier")
         self.tiers: Dict[str, MemoryTier] = {}
@@ -65,13 +56,10 @@ class MemoryTopology:
             Sanitizer() if sanitize_enabled() else None
         )
         self.frames: Dict[int, PageFrame] = {}
-        #: Retired frames kept for lifetime analysis (Fig 2d).
-        #: ``retired_limit=None`` keeps every freed frame (full-fidelity
-        #: lifetime analysis); an integer keeps only the most recent N so
-        #: long sweeps that never read lifetimes stay bounded.
-        self.retired = (
-            [] if retired_limit is None else deque(maxlen=retired_limit)
-        )
+        #: Freed application pages and the sum of their lifetimes (ns),
+        #: taken at free — Fig 2d's application series.
+        self.app_frames_freed = 0
+        self.app_freed_lifetime_ns = 0
         # --- resident-frame indexes (see class docstring) ---
         self._tier_frames: Dict[str, Dict[int, PageFrame]] = {
             name: {} for name in self.tiers
@@ -169,19 +157,10 @@ class MemoryTopology:
             frames.append(frame)
         return frames
 
-    def try_allocate(
-        self, npages: int, tier_order: Sequence[str], owner: PageOwner, **kwargs
-    ) -> Optional[List[PageFrame]]:
-        """Like :meth:`allocate` but returns None instead of raising."""
-        try:
-            return self.allocate(npages, tier_order, owner, **kwargs)
-        except AllocationError:
-            return None
-
     @hot
     def free(self, frame: PageFrame, now_ns: int) -> None:
-        """Release a frame back to its tier and retire it for lifetime
-        analysis (Fig 2d)."""
+        """Release a frame back to its tier; an application page adds its
+        lifetime to the Fig 2d totals."""
         san = self.sanitizer
         if san is not None:
             san.on_frame_free(frame, site=call_site(2))
@@ -194,7 +173,11 @@ class MemoryTopology:
         tier.used_pages -= 1
         tier.total_frees += 1
         frame.freed_at = now_ns
-        key = (tname, frame.owner)
+        owner = frame.owner
+        if owner is PageOwner.APP:
+            self.app_frames_freed += 1
+            self.app_freed_lifetime_ns += now_ns - frame.allocated_at
+        key = (tname, owner)
         self.live_count[key] -= 1
         fid = frame.fid
         del self.frames[fid]
@@ -202,7 +185,6 @@ class MemoryTopology:
         del self._tier_owner_frames[key][fid]
         self._referenced.pop(fid, None)
         frame.journal = None
-        self.retired.append(frame)
 
     def free_all(self, frames: Iterable[PageFrame], *, now_ns: int) -> None:
         for frame in list(frames):
@@ -290,8 +272,7 @@ class MemoryTopology:
         """The live frames homed on one tier, as a fid-keyed view.
 
         Insertion-ordered (allocation order, with migrated-in frames
-        appended); callers that need fid order must sort — see
-        :meth:`live_frames_in`.
+        appended); callers that need fid order must sort.
         """
         self._tier(tier_name)  # raise on unknown tiers, like every query
         return self._tier_frames[tier_name]
@@ -317,11 +298,6 @@ class MemoryTopology:
         referenced = list(self._referenced.values())
         self._referenced.clear()
         return referenced
-
-    def live_frames_in(self, tier_name: str) -> List[PageFrame]:
-        """Live frames on a tier in fid order (scan-based policies'
-        *modeled* cost is charged separately via the LRU engine)."""
-        return sorted(self.resident_frames(tier_name).values(), key=_by_fid)
 
     def check_invariants(self) -> None:
         """Cross-check counters against the frame table (used by tests)."""

@@ -1,8 +1,9 @@
 """Lifetime analysis: how long pages and objects live (Figure 2d).
 
 Combines the allocators' per-type ledgers (slab/kloc/page objects) with
-the topology's retired-frame log (application pages), classified into the
-figure's three series: application pages, slab objects, page-cache pages.
+the topology's freed-app-page totals and its live application pages,
+classified into the figure's three series: application pages, slab
+objects, page-cache pages.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class LifetimeReport:
         return self.slab_mean_ns <= self.page_cache_mean_ns <= self.app_mean_ns
 
 
-def lifetime_report(kernel: "Kernel", *, now_ns: Optional[int] = None) -> LifetimeReport:
-    """Aggregate lifetimes across allocators and retired app frames."""
-    now = now_ns if now_ns is not None else kernel.clock.now()
+def lifetime_report(kernel: "Kernel") -> LifetimeReport:
+    """Aggregate lifetimes across allocators and application pages."""
+    now = kernel.clock.now()
     report = LifetimeReport()
 
     # Kernel objects, from the allocator ledgers.
@@ -67,16 +68,15 @@ def lifetime_report(kernel: "Kernel", *, now_ns: Optional[int] = None) -> Lifeti
     if cache_n:
         report.page_cache_mean_ns = cache_sum / cache_n
 
-    # Application pages: retired frames plus still-live ones (app pages
-    # typically outlive the measurement window, as in the paper). Live
-    # frames come from the per-(tier, owner) resident index, so the
-    # report never walks the global frame table.
-    app_sum = app_n = 0
-    for frame in kernel.topology.retired:
-        if frame.owner is PageOwner.APP:
-            app_sum += frame.lifetime_ns(now)
-            app_n += 1
-    for frame in kernel.topology.iter_frames_by_owner(PageOwner.APP):
+    # Application pages: the freed ones' totals (taken at free) plus the
+    # still-live ones (app pages typically outlive the measurement
+    # window, as in the paper). Live frames come from the per-(tier,
+    # owner) resident index, so the report never walks the global frame
+    # table.
+    topo = kernel.topology
+    app_sum = topo.app_freed_lifetime_ns
+    app_n = topo.app_frames_freed
+    for frame in topo.iter_frames_by_owner(PageOwner.APP):
         app_sum += frame.lifetime_ns(now)
         app_n += 1
     if app_n:

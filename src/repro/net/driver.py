@@ -34,12 +34,6 @@ RX_RING_SIZE = 256
 EARLY_DEMUX_COST_NS = 150 * NS
 
 
-def _resolve_no_inode(port: int) -> Optional["Inode"]:
-    """Default resolver: no port → inode mapping (early demux finds
-    nothing)."""
-    return None
-
-
 class NICDriver:
     """Receive ring + packet construction."""
 
@@ -47,9 +41,9 @@ class NICDriver:
         self,
         ctx: "KernelContext",
         *,
+        resolve_inode: Callable[[int], Optional["Inode"]],
         ring_size: int = RX_RING_SIZE,
         early_demux: bool = False,
-        resolve_inode: Optional[Callable[[int], Optional["Inode"]]] = None,
     ) -> None:
         if ring_size <= 0:
             raise NetworkError(f"rx ring needs entries: {ring_size}")
@@ -58,7 +52,7 @@ class NICDriver:
         #: §4.2.3's KLOC extension: extract the socket in the driver.
         self.early_demux = early_demux
         #: Maps a port to the owning socket's inode (for early demux).
-        self._resolve_inode = resolve_inode or _resolve_no_inode
+        self._resolve_inode = resolve_inode
         self._ring: Deque[KernelObject] = deque()
         self.rx_packets = 0
         self.tx_packets = 0

@@ -8,7 +8,7 @@ inode creation is a knode creation (§4.2.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.core.errors import NetworkError
 from repro.core.objtypes import KernelObjectType
@@ -29,12 +29,11 @@ class NetworkStack:
         self,
         ctx: "KernelContext",
         *,
-        inode_table: Optional[InodeTable] = None,
         early_demux: bool = False,
         rx_ring_size: int = 256,
     ) -> None:
         self.ctx = ctx
-        self.inodes = inode_table if inode_table is not None else InodeTable()
+        self.inodes = InodeTable()
         self.tcp = TCPLayer(ctx)
         self.driver = NICDriver(
             ctx,

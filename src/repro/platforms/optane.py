@@ -66,7 +66,6 @@ def build_optane_kernel(
     scale_factor: int = 1024,
     seed: int = 42,
     registry: Optional[KlocRegistry] = None,
-    retired_limit: Optional[int] = None,
 ) -> Tuple[Kernel, TieringPolicy]:
     """Construct a started Memory-Mode kernel under one Fig 5a strategy."""
     try:
@@ -78,8 +77,6 @@ def build_optane_kernel(
         ) from None
     spec = optane_platform_spec(scale_factor=scale_factor)
     instance = policy_cls()
-    kernel = Kernel(
-        spec, instance, seed=seed, registry=registry, retired_limit=retired_limit
-    )
+    kernel = Kernel(spec, instance, seed=seed, registry=registry)
     kernel.start()
     return kernel, instance

@@ -48,14 +48,11 @@ def build_two_tier_kernel(
     seed: int = 42,
     registry: Optional[KlocRegistry] = None,
     readahead_enabled: bool = True,
-    retired_limit: Optional[int] = None,
 ) -> Tuple[Kernel, TieringPolicy]:
     """Construct a started kernel under one of Table 5's strategies.
 
     ``policy`` is a TWO_TIER_POLICIES key. The *All Fast Mem* bound gets a
     fast tier as large as the slow tier so nothing ever spills.
-    ``retired_limit`` caps the topology's retired-frame log (None keeps
-    every freed frame for Fig 2d lifetime analysis).
     """
     try:
         policy_cls = TWO_TIER_POLICIES[policy]
@@ -77,7 +74,6 @@ def build_two_tier_kernel(
         seed=seed,
         registry=registry,
         readahead_enabled=readahead_enabled,
-        retired_limit=retired_limit,
     )
     kernel.start()
     return kernel, instance

@@ -94,7 +94,7 @@ class NumaPolicyBase(TieringPolicy):
         del candidates[self.batch :]
         if not candidates:
             return
-        result = self.kernel.engine.migrate(candidates, home_tier, charge_time=False)
+        result = self.kernel.engine.migrate(candidates, home_tier)
         self.kernel.background_cpu_work(result.cost_ns)
         for frame in result.frames:
             if frame.owner is PageOwner.APP:
@@ -194,8 +194,8 @@ class NumaKlocsPolicy(NumaPolicyBase):
             ]
             if not remote:
                 continue
-            result = self.kernel.engine.migrate(
-                remote[: self.batch - moved], home_tier, charge_time=False
-            )
+            # Unlike every other daemon migration, this pass does not
+            # charge ``result.cost_ns`` as background work.
+            result = self.kernel.engine.migrate(remote[: self.batch - moved], home_tier)
             moved += result.moved
             self.migrated_kernel += result.moved

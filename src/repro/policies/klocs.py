@@ -85,7 +85,7 @@ class KlocsNoMigrationPolicy(TieringPolicy):
             kernel,
             spec=kernel.platform.lru,
             promote_owners=None,
-            demote_owners={PageOwner.APP},
+            demote_owners=frozenset({PageOwner.APP}),
         )
 
     def start_daemons(self) -> None:

@@ -10,7 +10,7 @@ sufficiently rapidly" (§6.2) and why KLOCs short-circuit the scan.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Tuple
 
 from repro.core.config import LRUSpec
 from repro.core.units import SEC
@@ -18,6 +18,13 @@ from repro.mem.frame import PageFrame, PageOwner
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
+
+
+#: The two tiers the engine moves pages between.
+FAST_TIER = "fast"
+SLOW_TIER = "slow"
+#: Upper bound on pages one scan moves in each direction.
+MIGRATE_BATCH = 2048
 
 
 def _by_fid(frame: PageFrame) -> int:
@@ -31,35 +38,22 @@ class LRUScanEngine:
         self,
         kernel: "Kernel",
         *,
-        spec: Optional[LRUSpec] = None,
-        owners: Optional[Set[PageOwner]] = None,
-        promote_owners: Optional[Set[PageOwner]] = None,
-        demote_owners: Optional[Set[PageOwner]] = None,
-        fast_tier: str = "fast",
-        slow_tier: str = "slow",
-        promote: bool = True,
-        demote: bool = True,
-        migrate_batch: int = 2048,
-        free_watermark_frac: float = 0.04,
+        spec: LRUSpec,
+        promote_owners: Optional[FrozenSet[PageOwner]],
+        demote_owners: Optional[FrozenSet[PageOwner]],
     ) -> None:
         self.kernel = kernel
-        self.spec = spec or LRUSpec()
-        #: Which owners each direction manages (None = all). ``owners``
-        #: is shorthand that sets both. KLOCs uses an asymmetric split:
-        #: promotion covers kernel pages too (referenced slow pages come
-        #: up at page granularity), while scan-demotion stays app-only —
-        #: kernel-object downgrades go through knode events instead.
-        self.promote_owners = promote_owners if promote_owners is not None else owners
-        self.demote_owners = demote_owners if demote_owners is not None else owners
-        self.fast_tier = fast_tier
-        self.slow_tier = slow_tier
-        self.promote = promote
-        self.demote = demote
-        self.migrate_batch = migrate_batch
+        self.spec = spec
+        #: Which owners each direction manages (None = all). KLOCs-
+        #: nomigration uses an asymmetric split: promotion covers kernel
+        #: pages too (referenced slow pages come up at page granularity),
+        #: while scan-demotion stays app-only.
+        self.promote_owners = promote_owners
+        self.demote_owners = demote_owners
         #: kswapd-style watermark: demotion only runs to keep this much of
         #: fast memory free (plus room for pending promotions) — pages are
         #: not evicted from fast memory without pressure.
-        self.free_watermark_frac = free_watermark_frac
+        self.free_watermark_frac = 0.04
         self.scans = 0
         self.promoted = 0
         self.demoted = 0
@@ -74,9 +68,6 @@ class LRUScanEngine:
 
     def _promotable(self, frame: PageFrame) -> bool:
         return self.promote_owners is None or frame.owner in self.promote_owners
-
-    def _demotable(self, frame: PageFrame) -> bool:
-        return self.demote_owners is None or frame.owner in self.demote_owners
 
     def scan_cost_ns(self, npages: int) -> int:
         """Wall time to visit ``npages`` at the measured scan rate."""
@@ -105,14 +96,12 @@ class LRUScanEngine:
 
         demote_candidates: List[PageFrame] = []
         if self.demote_owners is None:
-            demotable = topo.resident_frames(self.fast_tier).values()
+            demotable = topo.resident_frames(FAST_TIER).values()
         else:
             demotable = [
                 frame
                 for owner in self.demote_owners
-                for frame in topo.resident_frames_by_owner(
-                    self.fast_tier, owner
-                ).values()
+                for frame in topo.resident_frames_by_owner(FAST_TIER, owner).values()
             ]
         for frame in demotable:
             if frame.last_access >= mark:
@@ -124,9 +113,8 @@ class LRUScanEngine:
 
         promote_candidates: List[PageFrame] = []
         round_no = self.scans
-        slow_tier = self.slow_tier
         for frame in topo.drain_referenced():
-            if frame.tier_name != slow_tier or frame.last_access < mark:
+            if frame.tier_name != SLOW_TIER or frame.last_access < mark:
                 continue
             # Lazy two-touch streak: consecutive-window participation is
             # tracked by the round stamp instead of eagerly zeroing every
@@ -174,28 +162,26 @@ class LRUScanEngine:
             promote_candidates = thp.expand(promote_candidates)
 
         demoted = promoted = 0
-        fast = self.kernel.topology.tier(self.fast_tier)
-        if self.demote and demote_candidates:
+        fast = self.kernel.topology.tier(FAST_TIER)
+        if demote_candidates:
             # Demote only under pressure: enough to restore the free
             # watermark and admit this round's promotions, coldest first.
             watermark = int(fast.capacity_pages * self.free_watermark_frac)
-            wanted = len(promote_candidates) if self.promote else 0
             need = min(
-                max(0, watermark + wanted - fast.free_pages), self.migrate_batch
+                max(0, watermark + len(promote_candidates) - fast.free_pages),
+                MIGRATE_BATCH,
             )
             if need:
                 demote_candidates.sort(key=lambda f: -f.lru_age)
                 result = self.kernel.engine.migrate(
-                    demote_candidates[:need], self.slow_tier, charge_time=False
+                    demote_candidates[:need], SLOW_TIER
                 )
                 self.kernel.background_cpu_work(result.cost_ns)
                 demoted = result.moved
-        if self.promote and promote_candidates:
+        if promote_candidates:
             room = max(0, fast.free_pages)
             result = self.kernel.engine.migrate(
-                promote_candidates[: min(room, self.migrate_batch)],
-                self.fast_tier,
-                charge_time=False,
+                promote_candidates[: min(room, MIGRATE_BATCH)], FAST_TIER
             )
             self.kernel.background_cpu_work(result.cost_ns)
             promoted = result.moved

@@ -24,6 +24,8 @@ from repro.mem.frame import PageOwner
 from repro.policies.base import TieringPolicy
 from repro.policies.lru_engine import LRUScanEngine
 
+_APP_ONLY = frozenset({PageOwner.APP})
+
 
 class NimblePolicy(TieringPolicy):
     """Application-page tiering only; kernel objects live in slow memory."""
@@ -39,7 +41,8 @@ class NimblePolicy(TieringPolicy):
         self.lru = LRUScanEngine(
             kernel,
             spec=kernel.platform.lru,
-            owners={PageOwner.APP},
+            promote_owners=_APP_ONLY,
+            demote_owners=_APP_ONLY,
         )
 
     def start_daemons(self) -> None:
@@ -65,10 +68,12 @@ class NimblePlusPlusPolicy(TieringPolicy):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        # owners=None → the scanner walks application AND kernel pages.
+        # None → the scanner walks application AND kernel pages.
         # Non-relocatable slab frames are classified but skipped by the
         # migration engine, mirroring reality.
-        self.lru = LRUScanEngine(kernel, spec=kernel.platform.lru, owners=None)
+        self.lru = LRUScanEngine(
+            kernel, spec=kernel.platform.lru, promote_owners=None, demote_owners=None
+        )
 
     def start_daemons(self) -> None:
         self.lru.start()

@@ -4,7 +4,7 @@ The paper's inputs are 10GB ("small") and 40GB ("large") against an 8GB
 fast tier — the fast tier holds roughly a fifth of the large working set.
 The simulator preserves those *ratios* at MB scale via ``scale_factor``:
 every byte quantity in a config is the paper's value divided by the
-factor (default 320, mapping 40GB → 128MB).
+factor (default 512, mapping 40GB → 80MB; the figure runs use 1024).
 """
 
 from __future__ import annotations

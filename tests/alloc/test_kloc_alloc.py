@@ -73,7 +73,7 @@ class TestRelocatability:
         """The whole point: a cold knode's objects move in one batch."""
         for _ in range(30):
             kalloc.alloc(KernelObjectType.DENTRY, ["fast"], knode_id=1)
-        engine = MigrationEngine(topo, clock, MigrationSpec())
+        engine = MigrationEngine(topo, MigrationSpec())
         result = engine.migrate(kalloc.knode_frames(1), "slow")
         assert result.moved == len(kalloc.knode_frames(1))
         assert all(f.tier_name == "slow" for f in kalloc.knode_frames(1))
@@ -82,7 +82,7 @@ class TestRelocatability:
         """Contrast case used throughout the paper."""
         slab = SlabAllocator(topo, clock)
         obj = slab.alloc(KernelObjectType.DENTRY, ["fast"], knode_id=1)
-        engine = MigrationEngine(topo, clock, MigrationSpec())
+        engine = MigrationEngine(topo, MigrationSpec())
         result = engine.migrate([obj.frame], "slow")
         assert result.moved == 0
         assert result.skipped_nonrelocatable == 1

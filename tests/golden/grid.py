@@ -9,6 +9,11 @@ The eviction cells are rocksdb runs long enough to pass page-cache
 eviction onset, with readahead on and off, so the digests also cover
 LRU eviction, the read-miss path, readahead fetches and the KLOC
 prefetch hook; their op budget and readahead flag are part of the id.
+Two more rocksdb cells run the KLOC ablations (no migration, and
+fine-grained LRU migration), whose scan engines no other cell builds.
+The Fig 2 cell hashes one all-fast characterization run — footprint,
+references and the lifetime report's means and sample counts — so the
+digests also cover the freed-app-page lifetime accounting.
 Optane interference cells hash a payload built from the kernel the run
 used: reference and access-time attribution, migrations between the
 nodes, per-node hardware-cache and local/remote counters, and the final
@@ -32,11 +37,15 @@ SCALE_FACTOR = 1024
 
 TWO_TIER_WORKLOADS = ("rocksdb", "redis", "filebench", "cassandra", "spark")
 TWO_TIER_POLICIES = ("naive", "nimble", "nimble++", "klocs")
+#: KLOC ablations, pinned on one workload only.
+ABLATION_CELLS = (("rocksdb", "klocs_nomigration"), ("rocksdb", "klocs_fine"))
 OPTANE_WORKLOADS = ("cassandra", "redis")
 OPTANE_POLICIES = ("autonuma", "klocs", "all_local")
 EVICTION_OPS = 20_000
 EVICTION_WORKLOAD = "rocksdb"
 EVICTION_POLICIES = ("naive", "klocs")
+FIG2_WORKLOAD = "rocksdb"
+FIG2_CELL_ID = f"fig2/{FIG2_WORKLOAD}/all_fast"
 
 
 def cells() -> List[Tuple[str, str, str]]:
@@ -44,6 +53,7 @@ def cells() -> List[Tuple[str, str, str]]:
     grid = [
         ("two_tier", w, p) for w in TWO_TIER_WORKLOADS for p in TWO_TIER_POLICIES
     ]
+    grid += [("two_tier", w, p) for w, p in ABLATION_CELLS]
     grid += [("optane", w, p) for w in OPTANE_WORKLOADS for p in OPTANE_POLICIES]
     return grid
 
@@ -66,9 +76,11 @@ def eviction_cell_id(policy: str, readahead: bool) -> str:
 
 
 def all_cell_ids() -> List[str]:
-    return [cell_id(*c) for c in cells()] + [
-        eviction_cell_id(*c) for c in eviction_cells()
-    ]
+    return (
+        [cell_id(*c) for c in cells()]
+        + [eviction_cell_id(*c) for c in eviction_cells()]
+        + [FIG2_CELL_ID]
+    )
 
 
 def digest(payload: Dict[str, Any]) -> str:
@@ -184,6 +196,48 @@ def eviction_run(policy: str, readahead: bool) -> Tuple[str, int]:
         blob = _two_tier_payload(EVICTION_WORKLOAD, policy, EVICTION_OPS, readahead)
     (kernel,) = captured
     return digest(blob), kernel.fs.cache_mgr.evicted
+
+
+def fig2_run() -> Tuple[str, int]:
+    """(digest, application pages freed) of the Fig 2 characterization cell."""
+    import repro.experiments.fig2 as fig2
+    from repro.experiments.defaults import SCALE_FACTOR as FIG2_SCALE
+    from repro.mem.frame import PageOwner
+
+    assert FIG2_SCALE == SCALE_FACTOR
+    with _captured_kernel(fig2, "build_two_tier_kernel") as captured:
+        row = fig2._characterize(FIG2_WORKLOAD, ops=OPS)
+    (kernel,) = captured
+    lt = row.lifetimes
+    fp = row.footprint
+    refs = row.references
+    blob = {
+        "kind": "fig2",
+        "workload": FIG2_WORKLOAD,
+        "lifetimes": {
+            "app_mean_ns": lt.app_mean_ns,
+            "slab_mean_ns": lt.slab_mean_ns,
+            "page_cache_mean_ns": lt.page_cache_mean_ns,
+            "by_type_ns": lt.by_type_ns,
+            "samples": lt.samples,
+        },
+        "footprint": {
+            "allocated": {o.value: n for o, n in fp.allocated.items()},
+            "live": {o.value: n for o, n in fp.live.items()},
+        },
+        "references": {
+            "kernel_refs": refs.kernel_refs,
+            "app_refs": refs.app_refs,
+            "kernel_bytes": refs.kernel_bytes,
+            "app_bytes": refs.app_bytes,
+            "by_owner": {o.value: n for o, n in refs.by_owner.items()},
+        },
+    }
+    topo = kernel.topology
+    app_freed = topo.allocated_pages_by_owner(PageOwner.APP) - topo.live_pages_by_owner(
+        PageOwner.APP
+    )
+    return digest(blob), app_freed
 
 
 def load() -> Dict[str, Any]:

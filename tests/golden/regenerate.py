@@ -23,6 +23,7 @@ def main() -> int:
     from repro.core.version import SIM_VERSION
 
     os.environ["REPRO_NO_CACHE"] = "1"
+    os.environ["REPRO_SEED"] = str(grid.SEED)
     digests = {}
     for platform, workload, policy in grid.cells():
         t0 = perf_counter()
@@ -38,6 +39,13 @@ def main() -> int:
             f"{evicted} pages evicted",
             file=sys.stderr,
         )
+    t0 = perf_counter()
+    digests[grid.FIG2_CELL_ID], app_freed = grid.fig2_run()
+    print(
+        f"{grid.FIG2_CELL_ID:46s} {digests[grid.FIG2_CELL_ID][:16]}  "
+        f"{perf_counter() - t0:.1f}s  {app_freed} app pages freed",
+        file=sys.stderr,
+    )
     record = {
         "sim_version": SIM_VERSION,
         "ops": grid.OPS,

@@ -65,3 +65,12 @@ def test_eviction_digest(monkeypatch, policy, readahead):
     # A cell that never evicts pins nothing the 600-op cells do not.
     assert evicted > 0, "cell ends before page-cache eviction onset"
     _check(grid.eviction_cell_id(policy, readahead), got)
+
+
+def test_fig2_digest(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.setenv("REPRO_SEED", str(grid.SEED))
+    got, app_freed = grid.fig2_run()
+    # The cell pins freed-page lifetimes only if the run frees app pages.
+    assert app_freed > 0, "characterization run frees no application pages"
+    _check(grid.FIG2_CELL_ID, got)

@@ -6,7 +6,9 @@ from repro.core.config import KLOCSpec, MigrationSpec
 from repro.core.errors import ConfigError
 from repro.core.objtypes import KernelObjectType
 from repro.alloc.kloc_alloc import KlocAllocator
+from repro.core.sanitize import Sanitizer
 from repro.kloc.api import KlocAPI
+from repro.kloc.knode import Knode
 from repro.kloc.manager import KlocManager
 from repro.kloc.migrationd import KlocMigrationDaemon
 from repro.mem.migration import MigrationEngine
@@ -24,15 +26,28 @@ def manager(kernel):
     return KlocManager(kernel.clock, num_cpus=4)
 
 
-@pytest.fixture
-def daemon(kernel, manager):
-    engine = MigrationEngine(kernel.topology, kernel.clock, MigrationSpec())
-    manager.spec = KLOCSpec(cold_age_rounds=2)
-    daemon = KlocMigrationDaemon(manager, engine, kernel.topology)
+def make_daemon(kernel, manager, kalloc=None):
+    """A daemon over its own engine; batch costs land in ``daemon.charged``."""
+    engine = MigrationEngine(kernel.topology, MigrationSpec())
+    charged = []
+    daemon = KlocMigrationDaemon(
+        manager,
+        engine,
+        kernel.topology,
+        kloc_allocator=kalloc or KlocAllocator(kernel.topology, kernel.clock),
+        background_charge=charged.append,
+    )
+    daemon.charged = charged
     # The daemon reclaims only under memory pressure; tests exercise its
     # mechanics directly, so treat fast memory as permanently pressured.
     daemon.free_target_frac = 1.0
     return daemon
+
+
+@pytest.fixture
+def daemon(kernel, manager):
+    manager.spec = KLOCSpec(cold_age_rounds=2)
+    return make_daemon(kernel, manager)
 
 
 def open_file_with_pages(kernel, manager, ino, npages):
@@ -57,6 +72,8 @@ class TestDowngrade:
         stats = daemon.run()
         assert stats["downgraded"] == 10
         assert all(o.frame.tier_name == "slow" for o in objs)
+        # The batch's cost goes to background work, all of it.
+        assert daemon.charged and sum(daemon.charged) == daemon.engine.total_cost_ns
 
     def test_open_hot_knode_not_downgraded(self, kernel, manager, daemon):
         _inode, objs = open_file_with_pages(kernel, manager, 1, 4)
@@ -76,11 +93,7 @@ class TestDowngrade:
     def test_kloc_allocator_pages_ride_along(self, kernel, manager):
         """Small objects from the KLOC interface migrate with the knode."""
         kalloc = KlocAllocator(kernel.topology, kernel.clock)
-        engine = MigrationEngine(kernel.topology, kernel.clock, MigrationSpec())
-        daemon = KlocMigrationDaemon(
-            manager, engine, kernel.topology, kloc_allocator=kalloc
-        )
-        daemon.free_target_frac = 1.0
+        daemon = make_daemon(kernel, manager, kalloc)
         inode = Inode(1)
         knode = manager.create_knode(inode)
         for _ in range(10):
@@ -109,10 +122,8 @@ class TestUpgrade:
         assert daemon.upgraded_pages == 6
 
     def test_capacity_cap_respected(self, kernel, manager):
-        engine = MigrationEngine(kernel.topology, kernel.clock, MigrationSpec())
         KlocAPI(manager).sys_kloc_memsize("fast", 0.01)
-        capped = KlocMigrationDaemon(manager, engine, kernel.topology)
-        capped.free_target_frac = 1.0
+        capped = make_daemon(kernel, manager)
         inode, objs = open_file_with_pages(kernel, manager, 1, 6)
         inode.close()
         manager.close_knode(inode)
@@ -171,6 +182,26 @@ class TestKlocAPI:
         api.knode_add_obj(knode, obj)
         assert list(api.itr_knode_cache(knode)) == [obj]
         assert list(api.itr_knode_slab(knode)) == []
+
+    def test_knode_add_obj_samples_metadata_peak(self, kernel, manager):
+        api = KlocAPI(manager)
+        knode = api.map_knode(Inode(10))
+        for _ in range(5):
+            api.knode_add_obj(knode, kernel.alloc_object(KernelObjectType.PAGE_CACHE))
+        # 64B knode + 24B per-CPU entry + 5 x 8B rb-tree pointers.
+        assert manager.metadata_bytes() == 128
+        assert manager.peak_metadata_bytes == 128
+
+    def test_add_to_kmap_registers_the_knode(self, kernel):
+        manager = KlocManager(kernel.clock, num_cpus=4, sanitizer=Sanitizer())
+        api = KlocAPI(manager)
+        api.add_to_kmap(Knode(7, ino=99))
+        # The kmap population matches knodes_created: no counter drift.
+        manager.verify_counters()
+        assert manager.knodes_created == 1
+        assert manager.peak_metadata_bytes == manager.metadata_bytes() == 64
+        # Later knodes are numbered above the registered one.
+        assert api.map_knode(Inode(10)).knode_id == 8
 
     def test_get_lru_and_find_cpu(self, kernel, manager):
         api = KlocAPI(manager)

@@ -66,14 +66,6 @@ class TestResidentIndex:
         seen = {f.fid for f in topo.iter_frames_by_owner(PageOwner.APP)}
         assert seen == {f.fid for f in fast + slow}
 
-    def test_live_frames_in_matches_index(self, topo):
-        frames = topo.allocate(5, ["fast"], PageOwner.PAGE_CACHE)
-        topo.free(frames[2], now_ns=0)
-        listed = topo.live_frames_in("fast")
-        assert [f.fid for f in listed] == sorted(
-            f.fid for f in frames if f.live
-        )
-
     def test_invariants_after_churn(self, topo):
         frames = topo.allocate(20, ["fast", "slow"], PageOwner.APP)
         for f in frames[::3]:
@@ -126,33 +118,18 @@ class TestMoveResetsHotness:
         assert frame.scan_ref_streak == 0
 
 
-class TestRetiredLimit:
-    def specs(self):
-        return [
-            fast_dram_spec(capacity_bytes=1 * MB),
-            slow_dram_spec(capacity_bytes=4 * MB),
-        ]
+class TestFreedAppTotals:
+    def test_every_freed_app_page_counted(self, topo):
+        frames = topo.allocate(10, ["fast", "slow"], PageOwner.APP, now_ns=5)
+        for i, f in enumerate(frames):
+            topo.free(f, now_ns=100 + i)
+        assert topo.app_frames_freed == 10
+        assert topo.app_freed_lifetime_ns == sum(95 + i for i in range(10))
 
-    def test_default_keeps_every_retired_frame(self):
-        topo = MemoryTopology(self.specs())
-        frames = topo.allocate(10, ["fast"], PageOwner.APP)
-        for f in frames:
-            topo.free(f, now_ns=0)
-        assert len(topo.retired) == 10
-
-    def test_cap_bounds_the_log(self):
-        topo = MemoryTopology(self.specs(), retired_limit=4)
-        frames = topo.allocate(10, ["fast"], PageOwner.APP)
-        for f in frames:
-            topo.free(f, now_ns=0)
-        assert len(topo.retired) == 4
-        # The newest retirees are the ones kept.
-        assert [f.fid for f in topo.retired] == [f.fid for f in frames[-4:]]
-
-    def test_zero_cap_disables_retention(self):
-        topo = MemoryTopology(self.specs(), retired_limit=0)
-        frames = topo.allocate(5, ["fast"], PageOwner.APP)
-        for f in frames:
-            topo.free(f, now_ns=0)
-        assert len(topo.retired) == 0
+    def test_kernel_pages_not_counted(self, topo):
+        app = topo.allocate(2, ["fast"], PageOwner.APP)
+        kernel = topo.allocate(3, ["fast"], PageOwner.SLAB)
+        topo.free_all(app + kernel, now_ns=40)
+        assert topo.app_frames_freed == 2
+        assert topo.app_freed_lifetime_ns == 80
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.clock import Clock
 from repro.core.config import MigrationSpec, fast_dram_spec, slow_dram_spec
 from repro.core.units import MB, PAGE_SIZE
 from repro.mem.frame import PageOwner
@@ -71,15 +70,15 @@ class TestTHPMigrationCost:
     def test_one_remap_per_compound(self, topo):
         """The §5 hypothesis mechanism: 2MB moves with a single remap."""
         spec = MigrationSpec(remap_overhead_ns=1_000_000, copy_threads=1)
-        engine = MigrationEngine(topo, Clock(), spec)
+        engine = MigrationEngine(topo, spec)
         registry = CompoundRegistry(pages_per_compound=8)
 
         base = topo.allocate(8, ["fast"], PageOwner.APP)
-        cost_base = engine.migrate(base, "slow", charge_time=False).cost_ns
+        cost_base = engine.migrate(base, "slow").cost_ns
 
         huge = topo.allocate(8, ["fast"], PageOwner.APP)
         registry.make_compounds(huge)
-        cost_huge = engine.migrate(huge, "slow", charge_time=False).cost_ns
+        cost_huge = engine.migrate(huge, "slow").cost_ns
 
         # 8 remaps vs 1: the huge batch is dominated by copy cost only.
         assert cost_huge < cost_base / 4

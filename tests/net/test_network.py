@@ -15,6 +15,10 @@ def kernel():
     return FakeKernel()
 
 
+def _no_inode(port):
+    return None
+
+
 @pytest.fixture
 def net(kernel):
     return NetworkStack(kernel, rx_ring_size=16)
@@ -22,7 +26,7 @@ def net(kernel):
 
 class TestDriver:
     def test_ring_fill(self, kernel):
-        driver = NICDriver(kernel, ring_size=8)
+        driver = NICDriver(kernel, resolve_inode=_no_inode, ring_size=8)
         assert driver.fill_ring() == 8
         assert driver.ring_level == 8
 
@@ -57,10 +61,10 @@ class TestDriver:
 
     def test_bad_ring_size(self, kernel):
         with pytest.raises(NetworkError):
-            NICDriver(kernel, ring_size=0)
+            NICDriver(kernel, resolve_inode=_no_inode, ring_size=0)
 
     def test_drain_ring_frees_buffers(self, kernel):
-        driver = NICDriver(kernel, ring_size=4)
+        driver = NICDriver(kernel, resolve_inode=_no_inode, ring_size=4)
         driver.fill_ring()
         driver.drain_ring()
         assert driver.ring_level == 0

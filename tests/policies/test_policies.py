@@ -268,7 +268,9 @@ class TestLRUScanRate:
         spec = two_tier_platform_spec(fast_capacity_bytes=4 * MB)
         kernel = Kernel(spec, NimblePlusPlusPolicy(), seed=1)
         # Paper-scale spec: 500K pages/sec.
-        engine = LRUScanEngine(kernel, spec=LRUSpec())
+        engine = LRUScanEngine(
+            kernel, spec=LRUSpec(), promote_owners=None, demote_owners=None
+        )
         cost = engine.scan_cost_ns(1_000_000)
         assert 1.8 * SEC <= cost <= 2.2 * SEC
 

@@ -18,6 +18,7 @@ from repro.core.units import MB
 from repro.kernel.kernel import Kernel
 from repro.mem.frame import PageOwner
 from repro.platforms.optane import build_optane_kernel
+from repro.policies.lru_engine import FAST_TIER, SLOW_TIER
 from repro.policies.nimble import NimblePolicy
 
 
@@ -31,14 +32,14 @@ def reference_collect(lru):
             continue
         visited += 1
         referenced = frame.last_access >= lru._last_scan_ns
-        if frame.tier_name == lru.fast_tier:
+        if frame.tier_name == FAST_TIER:
             if referenced:
                 frame.lru_age = 0
-            elif lru._demotable(frame):
+            elif lru.demote_owners is None or frame.owner in lru.demote_owners:
                 frame.lru_age += 1
                 if frame.lru_age >= lru.spec.cold_age_rounds:
                     demote_candidates.append(frame)
-        elif frame.tier_name == lru.slow_tier:
+        elif frame.tier_name == SLOW_TIER:
             # Two-touch activation: referenced in consecutive windows.
             frame.scan_ref_streak = frame.scan_ref_streak + 1 if referenced else 0
             if (
@@ -63,7 +64,7 @@ def reference_numa_scan(pol, now_ns=0):
                 break
     if not candidates:
         return
-    result = pol.kernel.engine.migrate(candidates, home_tier, charge_time=False)
+    result = pol.kernel.engine.migrate(candidates, home_tier)
     pol.kernel.background_cpu_work(result.cost_ns)
     for frame in result.frames:
         if frame.owner is PageOwner.APP:

@@ -8,7 +8,6 @@ syscall surface.
 
 import pytest
 
-from repro.core.clock import Clock
 from repro.core.config import (
     MigrationSpec,
     fast_dram_spec,
@@ -63,7 +62,7 @@ class TestMigrationEdges:
                 slow_dram_spec(capacity_bytes=64 * PAGE_SIZE),
             ]
         )
-        engine = MigrationEngine(topo, Clock(), MigrationSpec())
+        engine = MigrationEngine(topo, MigrationSpec())
         topo.allocate(14, ["fast"], PageOwner.APP)
         slow_frames = topo.allocate(10, ["slow"], PageOwner.PAGE_CACHE)
         result = engine.migrate(slow_frames, "fast")
@@ -72,7 +71,7 @@ class TestMigrationEdges:
 
     def test_migrating_empty_batch(self):
         topo = MemoryTopology([fast_dram_spec(capacity_bytes=4 * PAGE_SIZE)])
-        engine = MigrationEngine(topo, Clock())
+        engine = MigrationEngine(topo)
         result = engine.migrate([], "fast")
         assert result.moved == 0 and result.cost_ns == 0
 

@@ -70,6 +70,22 @@ class TestLifetimes:
         assert report.ordering_holds()
         assert report.samples["DENTRY"] == 1
 
+    def test_app_mean_covers_freed_and_live_pages(self):
+        kernel = make_kernel()
+        freed = kernel.alloc_app_pages(3)
+        (kept,) = kernel.alloc_app_pages(1)
+        kernel.clock.advance(1000)
+        kernel.free_app_pages(freed)
+        kernel.clock.advance(3000)
+        report = lifetime_report(kernel)
+        assert report.samples["APP"] == 4
+        # Freed pages count their alloc-to-free span, the live one its
+        # age at report time.
+        spans = [f.freed_at - f.allocated_at for f in freed]
+        spans.append(kernel.clock.now() - kept.allocated_at)
+        assert min(spans) >= 1000 and spans[-1] >= 4000
+        assert report.app_mean_ns == sum(spans) / 4
+
     def test_empty_report(self):
         kernel = make_kernel()
         report = lifetime_report(kernel)

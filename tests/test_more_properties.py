@@ -47,10 +47,10 @@ def test_migration_roundtrips_preserve_accounting(directions, threads):
     topo = MemoryTopology(
         [fast_dram_spec(capacity_bytes=1 * MB), slow_dram_spec(capacity_bytes=4 * MB)]
     )
-    engine = MigrationEngine(topo, Clock(), MigrationSpec(copy_threads=threads))
+    engine = MigrationEngine(topo, MigrationSpec(copy_threads=threads))
     frames = topo.allocate(32, ["fast"], PageOwner.PAGE_CACHE)
     for to_slow in directions:
-        engine.migrate(frames, "slow" if to_slow else "fast", charge_time=False)
+        engine.migrate(frames, "slow" if to_slow else "fast")
     topo.check_invariants()
     total = topo.migrations_between("fast", "slow") + topo.migrations_between(
         "slow", "fast"
