@@ -8,27 +8,11 @@ knodes, the global kmap, per-CPU knode fast paths, and en-masse kernel
 object migration) together with every baseline tiering policy the paper
 evaluates against.
 
-Top-level convenience imports expose the public API most users need::
+The packages re-export nothing; import each name from its defining
+module. The usual entry points::
 
-    from repro import Clock, PAGE_SIZE
-    from repro.platforms import TwoTierPlatform
+    from repro.platforms.twotier import build_two_tier_kernel
     from repro.experiments import run_figure4
 """
 
-from repro.core.clock import Clock
-from repro.core.units import GB, KB, MB, MS, NS, PAGE_SIZE, SEC, US
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Clock",
-    "PAGE_SIZE",
-    "KB",
-    "MB",
-    "GB",
-    "NS",
-    "US",
-    "MS",
-    "SEC",
-    "__version__",
-]

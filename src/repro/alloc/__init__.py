@@ -7,17 +7,6 @@ Three families, mirroring §3.3/§4.4:
 * :class:`PageAllocator` — buddy-style whole-page allocations, relocatable.
 * :class:`KlocAllocator` — the paper's new interface: slab-like object
   packing on relocatable, knode-grouped pages (the 400+ redirected sites).
+
+Import each from its own module.
 """
-
-from repro.alloc.base import ALLOC_COSTS, KernelObject
-from repro.alloc.buddy import PageAllocator
-from repro.alloc.kloc_alloc import KlocAllocator
-from repro.alloc.slab import SlabAllocator
-
-__all__ = [
-    "KernelObject",
-    "ALLOC_COSTS",
-    "SlabAllocator",
-    "PageAllocator",
-    "KlocAllocator",
-]

@@ -7,7 +7,6 @@ claims (``python -m repro.experiments <id> --verdict``).
 """
 
 import importlib
-from typing import Any
 
 #: Public name -> defining module. Resolved on first attribute access
 #: (PEP 562), so importing one submodule such as ``runner`` does not load
@@ -39,7 +38,7 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
-def __getattr__(name: str) -> Any:
+def __getattr__(name: str) -> object:
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,9 +1,3 @@
 """Kernel facade: wires memory, allocators, VFS, networking, KLOCs, and
-the active tiering policy into one simulated OS instance."""
-
-from repro.kernel.cpu import CpuSet
-from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process
-from repro.kernel.syscalls import SyscallInterface
-
-__all__ = ["Kernel", "SyscallInterface", "Process", "CpuSet"]
+the active tiering policy into one simulated OS instance
+(:mod:`repro.kernel.kernel`). Import each from its own module."""

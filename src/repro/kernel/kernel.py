@@ -10,7 +10,7 @@ mechanically executes it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.alloc.base import KernelObject
 from repro.alloc.buddy import PageAllocator
@@ -23,13 +23,9 @@ from repro.core.hotpath import hot
 from repro.core.objtypes import AllocatorKind, KernelObjectType
 from repro.core.rng import DeterministicRNG
 from repro.kernel.cpu import CpuSet
-from repro.kloc.manager import KlocManager
-from repro.kloc.migrationd import KlocMigrationDaemon
 from repro.kloc.registry import KlocRegistry
 from repro.mem.frame import PageFrame, PageOwner
-from repro.mem.hwcache import HardwareDRAMCache
 from repro.mem.migration import MigrationEngine
-from repro.mem.node import NumaNode
 from repro.mem.thp import CompoundRegistry
 from repro.mem.topology import MemoryTopology
 from repro.net.stack import NetworkStack
@@ -37,6 +33,11 @@ from repro.vfs.filesystem import Filesystem
 from repro.vfs.inode import Inode
 from repro.vfs.storage import NVMeDevice
 from repro.vfs.writeback import WritebackDaemon
+
+if TYPE_CHECKING:
+    from repro.kloc.manager import KlocManager
+    from repro.kloc.migrationd import KlocMigrationDaemon
+    from repro.mem.node import NumaNode
 
 #: Hoisted enum member: the charge hot path tests page ownership once per
 #: reference, and ``PageOwner.APP`` is two attribute loads per test.
@@ -79,11 +80,15 @@ class Kernel:
         self.page_alloc = PageAllocator(self.topology, self.clock)
 
         # NUMA (Optane Memory Mode) wiring: each tier is a socket with an
-        # optional hardware DRAM cache in front.
+        # optional hardware DRAM cache in front. The NUMA and KLOC modules
+        # are imported in their branches, so a run loads only what it uses.
         self.numa_mode = policy.numa_mode
         self.task_node = 0
         self.nodes: Dict[str, NumaNode] = {}
         if self.numa_mode:
+            from repro.mem.hwcache import HardwareDRAMCache
+            from repro.mem.node import NumaNode
+
             for node_id, spec in enumerate([platform.fast, platform.slow]):
                 cache = (
                     HardwareDRAMCache(platform.hw_cache_bytes)
@@ -99,6 +104,9 @@ class Kernel:
         self.kloc_manager: Optional[KlocManager] = None
         self.kloc_daemon: Optional[KlocMigrationDaemon] = None
         if policy.uses_kloc:
+            from repro.kloc.manager import KlocManager
+            from repro.kloc.migrationd import KlocMigrationDaemon
+
             self.kloc_manager = KlocManager(
                 self.clock,
                 num_cpus=platform.num_cpus,

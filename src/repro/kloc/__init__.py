@@ -16,22 +16,7 @@ one file/socket inode behind a ``knode`` (Figure 1). The pieces:
 * :class:`KlocMigrationDaemon` — asynchronous en-masse migration of cold
   knodes' objects (§4.4).
 * :class:`KlocAPI` — Table 2's interface, verbatim.
+
+Import each from its own module: a run without KLOC tracking loads only
+:mod:`repro.kloc.registry`.
 """
-
-from repro.kloc.api import KlocAPI
-from repro.kloc.kmap import KMap
-from repro.kloc.knode import Knode
-from repro.kloc.manager import KlocManager
-from repro.kloc.migrationd import KlocMigrationDaemon
-from repro.kloc.percpu_cache import PerCPUKnodeCache
-from repro.kloc.registry import KlocRegistry
-
-__all__ = [
-    "Knode",
-    "KMap",
-    "PerCPUKnodeCache",
-    "KlocRegistry",
-    "KlocManager",
-    "KlocMigrationDaemon",
-    "KlocAPI",
-]

@@ -1,20 +1,3 @@
 """Physical memory model: tiers, page frames, topology, access costs,
-migration, and the Optane Memory-Mode hardware DRAM cache."""
-
-from repro.mem.frame import PageFrame, PageOwner
-from repro.mem.hwcache import HardwareDRAMCache
-from repro.mem.migration import MigrationEngine, MigrationResult
-from repro.mem.node import NumaNode
-from repro.mem.tier import MemoryTier
-from repro.mem.topology import MemoryTopology
-
-__all__ = [
-    "PageFrame",
-    "PageOwner",
-    "MemoryTier",
-    "MemoryTopology",
-    "MigrationEngine",
-    "MigrationResult",
-    "HardwareDRAMCache",
-    "NumaNode",
-]
+migration, and the Optane Memory-Mode hardware DRAM cache. Import each from
+its own module."""

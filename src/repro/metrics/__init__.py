@@ -1,17 +1,3 @@
 """Measurement helpers: footprint, reference, and lifetime attribution
-(the quantities behind Figures 2a-2d) plus table rendering."""
-
-from repro.metrics.footprint import FootprintSnapshot, footprint_snapshot
-from repro.metrics.lifetime import LifetimeReport, lifetime_report
-from repro.metrics.references import ReferenceReport, reference_report
-from repro.metrics.report import format_table
-
-__all__ = [
-    "FootprintSnapshot",
-    "footprint_snapshot",
-    "ReferenceReport",
-    "reference_report",
-    "LifetimeReport",
-    "lifetime_report",
-    "format_table",
-]
+(the quantities behind Figures 2a-2d) plus table rendering. Import each
+from its own module."""

@@ -1,11 +1,4 @@
 """Network substrate: sockets, skbuffs, the NIC driver rx ring (NAPI), and
 a simplified TCP demux layer. Sockets get inodes — "everything is a file"
-— so the KLOC machinery covers them exactly like filesystem objects."""
-
-from repro.net.driver import NICDriver
-from repro.net.skbuff import SKBuff
-from repro.net.socket import Socket
-from repro.net.stack import NetworkStack
-from repro.net.tcp import TCPLayer
-
-__all__ = ["SKBuff", "Socket", "NICDriver", "TCPLayer", "NetworkStack"]
+— so the KLOC machinery covers them exactly like filesystem objects. Import
+each from its own module."""

@@ -1,7 +1,4 @@
 """Evaluation platforms (Table 4): the software-managed two-tier system
-and the Optane Memory Mode system, with kernel construction helpers."""
-
-from repro.platforms.optane import build_optane_kernel, optane_platform_spec
-from repro.platforms.twotier import build_two_tier_kernel
-
-__all__ = ["build_two_tier_kernel", "optane_platform_spec", "build_optane_kernel"]
+and the Optane Memory Mode system, with kernel construction helpers:
+:func:`repro.platforms.twotier.build_two_tier_kernel` and
+:func:`repro.platforms.optane.build_optane_kernel`."""

@@ -1,31 +1,4 @@
 """Filesystem substrate: an ext4-like stack built from the kernel objects
 in Table 1 — inodes, dentries, page cache, extents, a jbd2-style journal,
-bio/blk-mq block layer, NVMe device, adaptive readahead, and writeback."""
-
-from repro.vfs.blkmq import BlockMQ
-from repro.vfs.dentry import Dentry, DentryCache
-from repro.vfs.extent import ExtentTree
-from repro.vfs.filesystem import FileHandle, Filesystem
-from repro.vfs.inode import Inode, InodeTable
-from repro.vfs.journal import Journal
-from repro.vfs.pagecache import PageCache, PageCacheManager
-from repro.vfs.readahead import ReadaheadState
-from repro.vfs.storage import NVMeDevice
-from repro.vfs.writeback import WritebackDaemon
-
-__all__ = [
-    "Inode",
-    "InodeTable",
-    "Dentry",
-    "DentryCache",
-    "PageCache",
-    "PageCacheManager",
-    "ExtentTree",
-    "Journal",
-    "BlockMQ",
-    "NVMeDevice",
-    "ReadaheadState",
-    "WritebackDaemon",
-    "Filesystem",
-    "FileHandle",
-]
+bio/blk-mq block layer, NVMe device, adaptive readahead, and writeback.
+Import each from its own module."""

@@ -88,6 +88,7 @@ class Workload:
         self.proc = Process(kernel, config.name)
         self.rng = kernel.rng.stream(config.name)
         self._setup_done = False
+        self._setup_ns = 0
 
     # -- subclass surface --------------------------------------------------
 
@@ -127,5 +128,5 @@ class Workload:
             name=self.config.name,
             ops=ops,
             elapsed_ns=elapsed,
-            setup_ns=getattr(self, "_setup_ns", 0),
+            setup_ns=self._setup_ns,
         )
