@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro.experiments.runner import make_workload
 from repro.kloc.api import KlocAPI
+from repro.metrics.references import reference_report
 from repro.metrics.report import format_table
 from repro.platforms.twotier import build_two_tier_kernel
 
@@ -46,7 +47,7 @@ def main() -> None:
             ["pages downgraded (fast→slow)", daemon.downgraded_pages],
             ["pages upgraded (slow→fast)", daemon.upgraded_pages],
             ["references served from fast memory", f"{kernel.fast_ref_fraction():.0%}"],
-            ["kernel-object share of references", f"{kernel.kernel_ref_fraction():.0%}"],
+            ["kernel-object share of references", f"{reference_report(kernel).kernel_fraction():.0%}"],
         ],
         title="KLOC machinery after the run",
     ))

@@ -11,7 +11,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.simlint import DEFAULT_RULES, format_report, lint_paths
+from repro.analysis.simlint.engine import format_report, lint_paths
+from repro.analysis.simlint.rules import DEFAULT_RULES
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,37 +5,3 @@ Run it as ``python -m repro.analysis src/``; see
 :mod:`repro.analysis.simlint.rules` for the rule catalog (documented in
 ``docs/ANALYSIS.md``).
 """
-
-from repro.analysis.simlint.engine import (
-    Rule,
-    SourceFile,
-    Violation,
-    format_report,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.simlint.rules import (
-    DEFAULT_RULES,
-    CounterBalanceRule,
-    DeterminismRule,
-    EnvKnobRule,
-    HashOrderRule,
-    HotPathRule,
-    SnapshotPathRule,
-)
-
-__all__ = [
-    "Rule",
-    "SourceFile",
-    "Violation",
-    "lint_source",
-    "lint_paths",
-    "format_report",
-    "DEFAULT_RULES",
-    "DeterminismRule",
-    "HashOrderRule",
-    "EnvKnobRule",
-    "HotPathRule",
-    "CounterBalanceRule",
-    "SnapshotPathRule",
-]

@@ -24,7 +24,7 @@ With ``REPRO_SANITIZE=1``:
   counters (kmap population, tracked rb-pointers, per-CPU entries)
   against a full structure recomputation at every scan boundary;
 * :meth:`Kernel teardown <repro.kernel.kernel.Kernel.sanitize_teardown>`
-  audits the books — tier page counters vs the frame table, allocator
+  audits the books — tier page counters vs the live-frame index, allocator
   alloc/free balances vs live structures, per-CPU entry counts — and
   reports any leak.
 

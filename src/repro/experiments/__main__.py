@@ -23,7 +23,7 @@ from repro.experiments.registry import EXPERIMENTS
 
 def _cache_maintenance(info: bool, clear: bool) -> int:
     """Report or empty the result cache."""
-    from repro.experiments.cache import ResultCache, cache_max_mb, usage
+    from repro.experiments.cache import ResultCache, usage
 
     cache = ResultCache(enabled=True)
     if clear:
@@ -31,15 +31,10 @@ def _cache_maintenance(info: bool, clear: bool) -> int:
         return 0
 
     results = usage(cache.root)
-    budget = cache_max_mb()
     print(f"cache root: {cache.root}")
     print(
         f"  results:   {results['files']:5d} file(s)"
         f"  {results['bytes'] / (1 << 20):8.2f} MB"
-    )
-    print(
-        "  budget:    "
-        + (f"{budget} MB (REPRO_CACHE_MAX_MB)" if budget is not None else "unbounded")
     )
     return 0
 

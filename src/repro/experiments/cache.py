@@ -17,9 +17,6 @@ Environment knobs:
 
 - ``REPRO_CACHE_DIR`` — cache directory (default ``./.repro_cache``).
 - ``REPRO_NO_CACHE=1`` — disable reads *and* writes (every run computes).
-- ``REPRO_CACHE_MAX_MB`` — byte budget for the cached results (the
-  ``*.json`` entries directly under the cache directory), enforced
-  oldest-first on every store (see :func:`enforce_size_limit`).
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.objtypes import KernelObjectType
 
@@ -223,91 +220,23 @@ def run_from_payload(payload: Dict[str, Any]) -> TwoTierRun:
 
 
 # ----------------------------------------------------------------------
-# size budget
+# cache maintenance
 # ----------------------------------------------------------------------
-
-_MB = 1 << 20
-
-
-def cache_max_mb() -> Optional[int]:  # simlint: config-site
-    """The ``REPRO_CACHE_MAX_MB`` budget, or ``None`` when unbounded."""
-    raw = os.environ.get("REPRO_CACHE_MAX_MB")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_CACHE_MAX_MB must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"REPRO_CACHE_MAX_MB must be >= 0, got {value}")
-    return value
-
-
-def cache_files(root: Path) -> List[Path]:
-    """The result entries under ``root``: its ``*.json`` files, sorted.
-
-    Subdirectories and files of any other kind are not the cache's and
-    are never counted or evicted.
-    """
-    if not root.is_dir():
-        return []
-    return sorted(path for path in root.glob("*.json") if path.is_file())
 
 
 def usage(root: Path) -> Dict[str, int]:
-    """``{"files": n, "bytes": total}`` for the result entries at ``root``."""
-    files = cache_files(root)
-    total = 0
-    for path in files:
+    """``{"files": n, "bytes": total}`` for the result entries at ``root``:
+    its ``*.json`` files. Subdirectories and files of any other kind are
+    not the cache's and are never counted or cleared."""
+    files = total = 0
+    for path in root.glob("*.json"):
         try:
-            total += path.stat().st_size
+            if path.is_file():
+                total += path.stat().st_size
+                files += 1
         except OSError:
             pass
-    return {"files": len(files), "bytes": total}
-
-
-def enforce_size_limit(root: Path, max_mb: Optional[int] = None) -> List[Path]:
-    """Evict the oldest result entries under ``root`` until they fit.
-
-    ``max_mb=None`` reads ``REPRO_CACHE_MAX_MB``; still-``None`` means
-    unbounded and nothing is touched. Eviction goes oldest modification
-    time first, tie-broken by name so the order is deterministic, and is
-    always safe: a missing entry is a cache miss. Returns the evicted
-    paths (empty when under budget). A budget smaller than the newest
-    entry evicts everything older and may leave just that entry over
-    budget — the bound is best-effort per pass, re-applied on every
-    store.
-    """
-    if max_mb is None:
-        max_mb = cache_max_mb()
-    if max_mb is None:
-        return []
-    budget = max_mb * _MB
-
-    entries: List[Tuple[float, str, int, Path]] = []
-    total = 0
-    for path in cache_files(root):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, path.name, stat.st_size, path))
-        total += stat.st_size
-    if total <= budget:
-        return []
-
-    entries.sort()  # oldest mtime first; name breaks ties deterministically
-    evicted: List[Path] = []
-    for _mtime, _name, size, path in entries:
-        if total <= budget:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        evicted.append(path)
-    return evicted
+    return {"files": files, "bytes": total}
 
 
 # ----------------------------------------------------------------------
@@ -374,17 +303,15 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        # REPRO_CACHE_MAX_MB: bound the result entries, oldest first.
-        # No-op unless the knob is set.
-        enforce_size_limit(self.root)
 
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""
         removed = 0
-        for path in cache_files(self.root):
+        for path in self.root.glob("*.json"):
             try:
-                path.unlink()
-                removed += 1
+                if path.is_file():
+                    path.unlink()
+                    removed += 1
             except OSError:
                 pass
         return removed

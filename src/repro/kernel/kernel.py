@@ -138,12 +138,10 @@ class Kernel:
         #: Allocator routing, built once: ``_alloc_route[covered][otype]``
         #: is the entry point for one allocation and ``_free_route`` maps
         #: ``obj.allocator`` to its free. Covered slab types go to the
-        #: KLOC interface when the policy redirects them (§4.4:
-        #: relocatable, knode-grouped pages).
+        #: KLOC interface (§4.4: relocatable, knode-grouped pages); a type
+        #: is covered only when the policy uses KLOCs.
         slab_alloc = self.slab.alloc
-        redirected = (
-            self.kloc_alloc.alloc if policy.uses_kloc_interface else slab_alloc
-        )
+        redirected = self.kloc_alloc.alloc
         page_alloc = self.page_alloc.alloc_object
         self._alloc_route = (
             {
@@ -259,7 +257,8 @@ class Kernel:
         The one charge primitive behind every access path: the cost (the
         NUMA node's, hardware DRAM cache included, when the kernel has
         nodes; the tier formula otherwise), the tier byte counters, the
-        tier and owner attribution, and the frame's access record.
+        (owner, tier) cell every reference count and byte total is summed
+        from, and the frame's access record.
         """
         tier_name = frame.tier_name
         owner = frame.owner
@@ -278,9 +277,10 @@ class Kernel:
             else:
                 tier.bytes_read += nbytes
                 cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
-        cell = self._access_ns_n[owner][tier_name]
+        cell = self._charges[owner][tier_name]
         cell[0] += cost
         cell[1] += 1
+        cell[2] += nbytes
         # frame.record_access(now, write=write), inlined:
         frame.last_access = self.clock._now  # noqa: SLF001 - hot-path read
         frame.lru_age = 0
@@ -310,8 +310,6 @@ class Kernel:
         size = nbytes if nbytes is not None else obj.otype.size_bytes
         cost = self._charge(obj.frame, size, write)
         self.clock.advance(cost)
-        self.kernel_refs += 1
-        self.kernel_ref_bytes += size
         note_access = self._note_access
         if note_access is not None and obj.knode_id is not None:
             note_access(obj, cpu=cpu)
@@ -327,12 +325,6 @@ class Kernel:
             raise SimulationError(f"access to freed frame {frame!r}")
         cost = self._charge(frame, nbytes, write)
         self.clock.advance(cost)
-        if frame.owner is _OWNER_APP:
-            self.app_refs += 1
-            self.app_ref_bytes += nbytes
-        else:
-            self.kernel_refs += 1
-            self.kernel_ref_bytes += nbytes
         return cost
 
     # ------------------------------------------------------------------
@@ -465,9 +457,9 @@ class Kernel:
 
         Tier order, app before kernel, accessed pairs only; summed from
         the (owner, tier) charge counts at reporting time."""
-        tiers = self._access_ns_n[_OWNER_APP]
+        tiers = self._charges[_OWNER_APP]
         out = {(t, is_kernel): 0 for t in tiers for is_kernel in (False, True)}
-        for owner, by_tier in self._access_ns_n.items():
+        for owner, by_tier in self._charges.items():
             for tier_name, cell in by_tier.items():
                 out[(tier_name, owner is not _OWNER_APP)] += cell[1]
         return {key: n for key, n in out.items() if n}
@@ -478,7 +470,16 @@ class Kernel:
         enum order; summed from the (owner, tier) charge counts."""
         return {
             owner: sum(cell[1] for cell in by_tier.values())
-            for owner, by_tier in self._access_ns_n.items()
+            for owner, by_tier in self._charges.items()
+        }
+
+    @property
+    def ref_bytes_by_owner(self) -> Dict[PageOwner, int]:
+        """Owner → bytes referenced, every :class:`PageOwner` present, in
+        enum order; summed from the (owner, tier) charge cells."""
+        return {
+            owner: sum(cell[2] for cell in by_tier.values())
+            for owner, by_tier in self._charges.items()
         }
 
     @property
@@ -488,7 +489,7 @@ class Kernel:
         Keys exist for every pair that was accessed at least once (even at
         zero cost)."""
         out: Dict[tuple, int] = {}
-        for owner, by_tier in self._access_ns_n.items():
+        for owner, by_tier in self._charges.items():
             for tier_name, cell in by_tier.items():
                 if cell[1]:
                     out[(owner, tier_name)] = cell[0]
@@ -500,16 +501,13 @@ class Kernel:
         phase so measurements cover steady state only)."""
         self.storage_ns_total = 0
         self.background_ns_total = 0
-        self.kernel_refs = 0
-        self.kernel_ref_bytes = 0
-        self.app_refs = 0
-        self.app_ref_bytes = 0
-        #: owner → tier → [cumulative ns, access count]: the one charge
-        #: counter. The count decides which keys ``access_ns_by`` reports
-        #: (a zero-cost access still creates its key), and ``refs_by_tier``
-        #: and ``refs_by_owner`` are its marginals.
-        self._access_ns_n: Dict[PageOwner, Dict[str, List[int]]] = {
-            o: {t: [0, 0] for t in self._tiers} for o in PageOwner
+        #: owner → tier → [cumulative ns, references, bytes]: the one
+        #: charge counter. The count decides which keys ``access_ns_by``
+        #: reports (a zero-cost access still creates its key), and
+        #: ``refs_by_tier``, ``refs_by_owner``, ``ref_bytes_by_owner`` and
+        #: the reference report's totals are its marginals.
+        self._charges: Dict[PageOwner, Dict[str, List[int]]] = {
+            o: {t: [0, 0, 0] for t in self._tiers} for o in PageOwner
         }
 
     def fast_ref_fraction(self, fast_tier: str = "fast") -> float:
@@ -520,16 +518,11 @@ class Kernel:
         fast = sum(n for (t, _k), n in by_tier.items() if t == fast_tier)
         return fast / total if total else 0.0
 
-    def kernel_ref_fraction(self) -> float:
-        """Fig 2c: fraction of memory references that hit kernel objects."""
-        total = self.kernel_refs + self.app_refs
-        return self.kernel_refs / total if total else 0.0
-
     def sanitize_teardown(self) -> Optional[Dict[str, int]]:
         """End-of-run accounting audit (``REPRO_SANITIZE=1`` only).
 
         Cross-checks every allocator's alloc/free balance against its live
-        structures, the tier page counters against the frame table, and
+        structures, the tier page counters against the live-frame index, and
         the KLOC metadata counters against a recomputation, and runs the
         filesystem's fsck sweep. Raises
         :class:`~repro.core.errors.SanitizerError` on any leak (and

@@ -186,9 +186,9 @@ class KlocMigrationDaemon:
         if self.manager.sanitizer is not None:
             # Scan boundary (REPRO_SANITIZE=1): cross-check the incremental
             # metadata counters against a full structure recomputation, and
-            # the topology's indexes against the frame table. Read-only —
-            # no clock or counter movement, so the pass's simulated
-            # behavior is unchanged.
+            # the topology's live-frame index against the tier counters.
+            # Read-only — no clock or counter movement, so the pass's
+            # simulated behavior is unchanged.
             self.manager.verify_counters()
             self.topology.check_invariants()
         return {"downgraded": moved_down, "upgraded": moved_up}

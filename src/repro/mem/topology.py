@@ -10,7 +10,7 @@ lifetime totals that the motivation and evaluation figures are built from.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import AllocationError, SimulationError
 from repro.core.config import TierSpec
@@ -23,20 +23,23 @@ from repro.mem.tier import MemoryTier
 class MemoryTopology:
     """All memory tiers in a platform plus global frame bookkeeping.
 
-    Besides the global ``frames`` table, the topology maintains
-    **resident-frame indexes** so periodic scanners touch only their
-    candidates instead of every live frame:
+    Each live frame is held once, in the **live-frame index**
+    ``live_frames``: (tier, owner) → fid-keyed dict of the frames of that
+    owner homed on that tier, insertion-ordered (allocation order, with
+    migrated-in frames appended). A key exists from the first frame
+    placed under it on and is never dropped, so an owner whose pages were
+    all freed still shows with zero live pages. Reads use ``.get`` and
+    never add a key. Every live count (``live_pages``,
+    ``kernel_pages_in``, ``live_pages_by_owner``, the footprint's live
+    map) is derived from it, and periodic scanners walk only the views
+    of their candidates. Beside it sits a referenced-since-last-drain
+    journal (``drain_referenced``), fed by
+    :meth:`PageFrame.record_access` and by allocation (a fresh frame
+    counts as touched, exactly as the scan's ``last_access >=
+    last_scan`` predicate sees it).
 
-    * per-tier views (``resident_frames``) — fid-keyed dicts of the
-      frames currently homed on one tier;
-    * per-(tier, owner) views (``resident_frames_by_owner``);
-    * a referenced-since-last-drain journal (``drain_referenced``), fed
-      by :meth:`PageFrame.record_access` and by allocation (a fresh
-      frame counts as touched, exactly as the scan's
-      ``last_access >= last_scan`` predicate sees it).
-
-    All three are updated at the three mutation points (`allocate`,
-    `free`, `move_frame`) and cross-checked by :meth:`check_invariants`.
+    Both are updated at the three mutation points (`allocate`, `free`,
+    `move_frame`) and cross-checked by :meth:`check_invariants`.
     """
 
     def __init__(self, tier_specs: Sequence[TierSpec]) -> None:
@@ -55,24 +58,16 @@ class MemoryTopology:
         self.sanitizer: Optional[Sanitizer] = (
             Sanitizer() if sanitize_enabled() else None
         )
-        self.frames: Dict[int, PageFrame] = {}
         #: Freed application pages and the sum of their lifetimes (ns),
         #: taken at free — Fig 2d's application series.
         self.app_frames_freed = 0
         self.app_freed_lifetime_ns = 0
-        # --- resident-frame indexes (see class docstring) ---
-        self._tier_frames: Dict[str, Dict[int, PageFrame]] = {
-            name: {} for name in self.tiers
-        }
-        self._tier_owner_frames: Dict[tuple, Dict[int, PageFrame]] = defaultdict(
-            dict
-        )
+        # --- the live-frame index and journal (see class docstring) ---
+        self.live_frames: Dict[Tuple[str, PageOwner], Dict[int, PageFrame]] = {}
         self._referenced: Dict[int, PageFrame] = {}
         # --- counters the figures are built from ---
         #: pages ever allocated, keyed by (tier, owner)
         self.alloc_count: Dict[tuple, int] = defaultdict(int)
-        #: live pages right now, keyed by (tier, owner)
-        self.live_count: Dict[tuple, int] = defaultdict(int)
         #: pages migrated, keyed by (src_tier, dst_tier, owner)
         self.migration_count: Dict[tuple, int] = defaultdict(int)
 
@@ -119,6 +114,7 @@ class MemoryTopology:
                     f"cannot place {npages} pages (short {npages - free}) "
                     f"in tiers {list(tier_order)}"
                 )
+        live_frames = self.live_frames
         frames: List[PageFrame] = []
         while npages:
             npages -= 1
@@ -144,16 +140,16 @@ class MemoryTopology:
                 fid, tier_name, owner, obj_type, knode_id, relocatable, now_ns
             )
             key = (tier_name, owner)
-            self.frames[fid] = frame
-            self._tier_frames[tier_name][fid] = frame
-            self._tier_owner_frames[key][fid] = frame
+            view = live_frames.get(key)
+            if view is None:
+                view = live_frames[key] = {}
+            view[fid] = frame
             # Allocation counts as a touch: the scan's reference predicate
             # (last_access >= last_scan, with last_access = allocated_at)
             # sees a freshly allocated frame as referenced.
             frame.journal = self._referenced
             self._referenced[fid] = frame
             self.alloc_count[key] += 1
-            self.live_count[key] += 1
             frames.append(frame)
         return frames
 
@@ -177,12 +173,8 @@ class MemoryTopology:
         if owner is PageOwner.APP:
             self.app_frames_freed += 1
             self.app_freed_lifetime_ns += now_ns - frame.allocated_at
-        key = (tname, owner)
-        self.live_count[key] -= 1
         fid = frame.fid
-        del self.frames[fid]
-        del self._tier_frames[tname][fid]
-        del self._tier_owner_frames[key][fid]
+        del self.live_frames[(tname, owner)][fid]
         self._referenced.pop(fid, None)
         frame.journal = None
 
@@ -207,14 +199,15 @@ class MemoryTopology:
             raise SimulationError(f"tier {dst_tier_name} full; migrate-evict first")
         src.release(1)
         dst.reserve(1)
-        self.live_count[(src.name, frame.owner)] -= 1
-        self.live_count[(dst.name, frame.owner)] += 1
-        self.migration_count[(src.name, dst.name, frame.owner)] += 1
+        owner = frame.owner
+        self.migration_count[(src.name, dst.name, owner)] += 1
         fid = frame.fid
-        del self._tier_frames[src.name][fid]
-        del self._tier_owner_frames[(src.name, frame.owner)][fid]
-        self._tier_frames[dst.name][fid] = frame
-        self._tier_owner_frames[(dst.name, frame.owner)][fid] = frame
+        del self.live_frames[(src.name, owner)][fid]
+        key = (dst.name, owner)
+        view = self.live_frames.get(key)
+        if view is None:
+            view = self.live_frames[key] = {}
+        view[fid] = frame
         frame.tier_name = dst_tier_name
         # Hotness state is per-residency: a just-promoted page must earn
         # its demotion age on the new tier from zero (and vice versa), not
@@ -238,19 +231,23 @@ class MemoryTopology:
         return self._tier(name)
 
     def live_pages(self, tier_name: Optional[str] = None) -> int:
+        """Live frames on one tier, or on all of them; ``used_pages``
+        counts a tier's live frames (:meth:`check_invariants`)."""
         if tier_name is None:
-            return len(self.frames)
+            return sum(tier.used_pages for tier in self.tiers.values())
         return self.tiers[tier_name].used_pages
 
     def kernel_pages_in(self, tier_name: str) -> int:
         """Live kernel-object pages on one tier: every owner but APP is
-        kernel, and ``used_pages`` counts the tier's live frames."""
-        app = self.live_count.get((tier_name, PageOwner.APP), 0)
-        return self._tier(tier_name).used_pages - app
+        kernel."""
+        app = self.live_frames.get((tier_name, PageOwner.APP), ())
+        return self._tier(tier_name).used_pages - len(app)
 
     def live_pages_by_owner(self, owner: PageOwner) -> int:
         return sum(
-            count for (tier, own), count in self.live_count.items() if own is owner
+            len(view)
+            for (_tier, own), view in self.live_frames.items()
+            if own is owner
         )
 
     def allocated_pages_by_owner(self, owner: PageOwner) -> int:
@@ -268,26 +265,19 @@ class MemoryTopology:
             if s == src and d == dst
         )
 
-    def resident_frames(self, tier_name: str) -> Dict[int, PageFrame]:
-        """The live frames homed on one tier, as a fid-keyed view.
-
-        Insertion-ordered (allocation order, with migrated-in frames
-        appended); callers that need fid order must sort.
-        """
-        self._tier(tier_name)  # raise on unknown tiers, like every query
-        return self._tier_frames[tier_name]
-
     def resident_frames_by_owner(
         self, tier_name: str, owner: PageOwner
     ) -> Dict[int, PageFrame]:
-        """Per-(tier, owner) resident view (same ordering caveat)."""
-        self._tier(tier_name)
-        return self._tier_owner_frames[(tier_name, owner)]
+        """The live frames of one owner homed on one tier, as a fid-keyed
+        dict in insertion order; callers that need fid order must sort.
+        Empty (and not added to the index) when there are none."""
+        self._tier(tier_name)  # raise on unknown tiers, like every query
+        return self.live_frames.get((tier_name, owner), {})
 
     def iter_frames_by_owner(self, owner: PageOwner) -> Iterator[PageFrame]:
         """All live frames of one owner, across every tier."""
         for tier_name in self.tiers:
-            yield from self._tier_owner_frames[(tier_name, owner)].values()
+            yield from self.live_frames.get((tier_name, owner), {}).values()
 
     def drain_referenced(self) -> List[PageFrame]:
         """Frames touched (accessed or allocated) since the last drain.
@@ -300,63 +290,33 @@ class MemoryTopology:
         return referenced
 
     def check_invariants(self) -> None:
-        """Cross-check counters against the frame table (used by tests)."""
-        per_tier: Dict[str, int] = defaultdict(int)
-        for frame in self.frames.values():
-            per_tier[frame.tier_name] += 1
+        """Cross-check the live-frame index against the tier counters,
+        each frame's own tier and owner, and the referenced journal."""
+        per_tier = dict.fromkeys(self.tiers, 0)
+        for (tier_name, owner), view in self.live_frames.items():
+            if tier_name not in per_tier:
+                raise SimulationError(f"live index names unknown tier {tier_name!r}")
+            per_tier[tier_name] += len(view)
+            for fid, frame in view.items():
+                if (
+                    frame.fid != fid
+                    or frame.tier_name != tier_name
+                    or frame.owner is not owner
+                    or not frame.live
+                ):
+                    raise SimulationError(
+                        f"live index ({tier_name}, {owner}) out of sync "
+                        f"for frame {fid}"
+                    )
         for name, tier in self.tiers.items():
             if per_tier[name] != tier.used_pages:
                 raise SimulationError(
-                    f"tier {name}: frame table has {per_tier[name]} frames, "
+                    f"tier {name}: live index has {per_tier[name]} frames, "
                     f"counter says {tier.used_pages}"
                 )
-            k = sum(n for (t, o), n in self.live_count.items() if t == name and o.is_kernel)
-            if k != self.kernel_pages_in(name):
-                raise SimulationError(f"tier {name}: kernel_pages_in != owner sum {k}")
-        live_total = sum(self.live_count.values())
-        if live_total != len(self.frames):
-            raise SimulationError(
-                f"live_count sum {live_total} != frame table {len(self.frames)}"
-            )
-        # The resident indexes must agree with the frame table exactly.
-        index_total = 0
-        for name, view in self._tier_frames.items():
-            index_total += len(view)
-            for fid, frame in view.items():
-                if frame.tier_name != name or self.frames.get(fid) is not frame:
-                    raise SimulationError(
-                        f"tier index {name} out of sync for frame {fid}"
-                    )
-        if index_total != len(self.frames):
-            raise SimulationError(
-                f"tier indexes hold {index_total} frames, table {len(self.frames)}"
-            )
-        owner_total = 0
-        for (tier_name, owner), view in self._tier_owner_frames.items():
-            owner_total += len(view)
-            for fid, frame in view.items():
-                if (
-                    frame.tier_name != tier_name
-                    or frame.owner is not owner
-                    or self.frames.get(fid) is not frame
-                ):
-                    raise SimulationError(
-                        f"(tier, owner) index ({tier_name}, {owner}) out of "
-                        f"sync for frame {fid}"
-                    )
-            if len(view) != self.live_count[(tier_name, owner)]:
-                raise SimulationError(
-                    f"(tier, owner) index ({tier_name}, {owner}) has "
-                    f"{len(view)} frames, live_count says "
-                    f"{self.live_count[(tier_name, owner)]}"
-                )
-        if owner_total != len(self.frames):
-            raise SimulationError(
-                f"(tier, owner) indexes hold {owner_total} frames, "
-                f"table {len(self.frames)}"
-            )
         for fid, frame in self._referenced.items():
-            if not frame.live or self.frames.get(fid) is not frame:
+            view = self.live_frames.get((frame.tier_name, frame.owner), {})
+            if view.get(fid) is not frame:
                 raise SimulationError(
                     f"referenced journal holds dead/unknown frame {fid}"
                 )

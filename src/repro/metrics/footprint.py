@@ -52,6 +52,6 @@ def footprint_snapshot(topology: MemoryTopology) -> FootprintSnapshot:
     snap = FootprintSnapshot()
     for (tier, owner), count in topology.alloc_count.items():
         snap.allocated[owner] = snap.allocated.get(owner, 0) + count
-    for (tier, owner), count in topology.live_count.items():
-        snap.live[owner] = snap.live.get(owner, 0) + count
+    for (tier, owner), view in topology.live_frames.items():
+        snap.live[owner] = snap.live.get(owner, 0) + len(view)
     return snap

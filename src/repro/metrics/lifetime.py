@@ -70,9 +70,8 @@ def lifetime_report(kernel: "Kernel") -> LifetimeReport:
 
     # Application pages: the freed ones' totals (taken at free) plus the
     # still-live ones (app pages typically outlive the measurement
-    # window, as in the paper). Live frames come from the per-(tier,
-    # owner) resident index, so the report never walks the global frame
-    # table.
+    # window, as in the paper). Live frames come from the topology's
+    # APP views, so the report never walks another owner's frames.
     topo = kernel.topology
     app_sum = topo.app_freed_lifetime_ns
     app_n = topo.app_frames_freed

@@ -40,10 +40,14 @@ class ReferenceReport:
 
 
 def reference_report(kernel: "Kernel") -> ReferenceReport:
+    """Sum the kernel's charge cells: every owner but APP is kernel."""
+    refs = kernel.refs_by_owner
+    nbytes = kernel.ref_bytes_by_owner
+    app = PageOwner.APP
     return ReferenceReport(
-        kernel_refs=kernel.kernel_refs,
-        app_refs=kernel.app_refs,
-        kernel_bytes=kernel.kernel_ref_bytes,
-        app_bytes=kernel.app_ref_bytes,
-        by_owner=dict(kernel.refs_by_owner),
+        kernel_refs=sum(refs.values()) - refs[app],
+        app_refs=refs[app],
+        kernel_bytes=sum(nbytes.values()) - nbytes[app],
+        app_bytes=nbytes[app],
+        by_owner=refs,
     )

@@ -134,9 +134,9 @@ class NumaAllLocal(NumaPolicyBase):
         dst = topo.tier(home_tier)
         away = [
             frame
-            for tier_name in topo.tiers
+            for (tier_name, _owner), view in topo.live_frames.items()
             if tier_name != home_tier
-            for frame in topo.resident_frames(tier_name).values()
+            for frame in view.values()
         ]
         away.sort(key=_by_fid)
         for frame in away:
@@ -170,16 +170,12 @@ class NumaKlocsPolicy(NumaPolicyBase):
 
     name = "klocs"
     uses_kloc = True
-    uses_kloc_interface = True
-    migrates_kernel_objects = True
     migrate_owners = {PageOwner.APP}
     batch = NIMBLE_BATCH
 
     def _scan(self, now_ns: int = 0) -> None:
         super()._scan(now_ns)
         manager = self.kernel.kloc_manager
-        if manager is None:
-            return
         home_tier = self.node_tier(self.preferred_node())
         moved = 0
         for knode in manager.kmap.all_knodes():

@@ -21,13 +21,10 @@ class TieringPolicy:
     """Base class with the no-op defaults every strategy refines."""
 
     name = "base"
-    #: Run the KlocManager hooks (knodes, kmap, per-CPU lists)?
-    uses_kloc = False
-    #: Redirect covered slab allocation sites to the relocatable KLOC
+    #: Run the KlocManager hooks (knodes, kmap, per-CPU lists) and
+    #: redirect covered slab allocation sites to the relocatable KLOC
     #: allocation interface?
-    uses_kloc_interface = False
-    #: Does this policy migrate kernel objects at all?
-    migrates_kernel_objects = False
+    uses_kloc = False
     #: Is this an Optane/NUMA-mode policy (placement by node, not tier)?
     numa_mode = False
     #: Fill skbuffs' 8-byte socket field in the driver (§4.2.3)? Defaults

@@ -23,7 +23,7 @@ freed, shrinking the fast memory available to active knodes.
 
 from __future__ import annotations
 
-from typing import List
+from typing import FrozenSet, List, Optional
 
 from repro.core.hotpath import hot
 from repro.core.objtypes import KernelObjectType
@@ -54,7 +54,7 @@ TRANSIENT_TYPES = frozenset(
 #: (``MemoryTopology.allocate``) — never mutate.
 _FAST_FIRST = ["fast", "slow"]
 _SLOW_FIRST = ["slow", "fast"]
-#: The live-page counter key of application pages on the fast tier.
+#: The live-frame index key of application pages on the fast tier.
 _FAST_APP = ("fast", PageOwner.APP)
 
 
@@ -63,7 +63,12 @@ class KlocsNoMigrationPolicy(TieringPolicy):
 
     name = "klocs_nomigration"
     uses_kloc = True
-    uses_kloc_interface = True
+    #: Owners the LRU scan demotes. Promotion covers kernel pages too —
+    #: KLOCs make referenced slow kernel pages identifiable and (via the
+    #: KLOC allocation interface) relocatable; demotion of kernel objects
+    #: is handled by knode events, so the scan only demotes application
+    #: pages.
+    scan_demote_owners: Optional[FrozenSet[PageOwner]] = frozenset({PageOwner.APP})
 
     def __init__(self) -> None:
         super().__init__()
@@ -76,16 +81,12 @@ class KlocsNoMigrationPolicy(TieringPolicy):
         topology = kernel.topology
         self._manager = kernel.kloc_manager
         self._fast = topology.tier("fast")
-        self._live_count = topology.live_count
-        # Promotion covers kernel pages too — KLOCs make referenced slow
-        # kernel pages identifiable and (via the KLOC allocation interface)
-        # relocatable; demotion of kernel objects is handled by knode
-        # events, so the scan only demotes application pages.
+        self._live_frames = topology.live_frames
         self.lru = LRUScanEngine(
             kernel,
             spec=kernel.platform.lru,
             promote_owners=None,
-            demote_owners=frozenset({PageOwner.APP}),
+            demote_owners=self.scan_demote_owners,
         )
 
     def start_daemons(self) -> None:
@@ -120,15 +121,15 @@ class KlocsNoMigrationPolicy(TieringPolicy):
         """
         if not covered or inode is None or otype in TRANSIENT_TYPES:
             return _FAST_FIRST
-        manager = self._manager
-        if manager is None or inode.knode_id is None:
+        if inode.knode_id is None:
             return _SLOW_FIRST
+        manager = self._manager
         knode = manager.knode_for_inode(inode, cpu=cpu)
         if knode is None or not knode.inuse:
             return _SLOW_FIRST
         fast = self._fast
         cap = fast.capacity_pages
-        app_fast = self._live_count.get(_FAST_APP, 0)
+        app_fast = len(self._live_frames.get(_FAST_APP, ()))
         entitlement = int(cap * (1 - manager.spec.fast_capacity_fraction))
         if app_fast + self.APP_GROWTH_MARGIN < entitlement:
             entitlement = app_fast + self.APP_GROWTH_MARGIN
@@ -142,26 +143,15 @@ class KlocsPolicy(KlocsNoMigrationPolicy):
     """Full KLOCs: direct allocation plus en-masse kernel-object migration."""
 
     name = "klocs"
-    migrates_kernel_objects = True
-
-    def attach(self, kernel) -> None:
-        super().attach(kernel)
-        # Table 5: KLOCs keeps the "original Nimble policies" — full
-        # page-granularity LRU over application AND kernel pages — and
-        # layers the knode short-circuits (immediate close-downgrades,
-        # en-masse cold-knode sweeps) on top.
-        self.lru = LRUScanEngine(
-            kernel,
-            spec=kernel.platform.lru,
-            promote_owners=None,
-            demote_owners=None,
-        )
+    #: Table 5: KLOCs keeps the "original Nimble policies" — full
+    #: page-granularity LRU over application AND kernel pages — and
+    #: layers the knode short-circuits (immediate close-downgrades,
+    #: en-masse cold-knode sweeps) on top.
+    scan_demote_owners = None
 
     def start_daemons(self) -> None:
         super().start_daemons()
-        daemon = self.kernel.kloc_daemon
-        if daemon is not None:
-            daemon.start()
+        self.kernel.kloc_daemon.start()
 
     def on_knode_inactive(self, knode) -> None:
         """Mark the knode definitely-cold — the short-circuit that defines
@@ -173,9 +163,7 @@ class KlocsPolicy(KlocsNoMigrationPolicy):
         is closed and immediately unlinked frees its objects rather than
         migrating them (§3.2: deleted objects "should not be migrated").
         """
-        daemon = self.kernel.kloc_daemon
-        if daemon is not None:
-            daemon.mark_cold(knode)
+        self.kernel.kloc_daemon.mark_cold(knode)
 
     #: Pages pulled up eagerly when a knode reactivates; the rest come up
     #: page-by-page through the promote scan as they are referenced.
@@ -184,8 +172,6 @@ class KlocsPolicy(KlocsNoMigrationPolicy):
     def on_knode_active(self, knode) -> None:
         """Reopened file/socket: retrieve its hottest objects eagerly."""
         daemon = self.kernel.kloc_daemon
-        if daemon is None:
-            return
         daemon.unmark(knode.knode_id)  # reopened before the daemon ran
         daemon.upgrade_knode(knode, limit=self.REACTIVATE_UPGRADE_LIMIT)
         for frame in daemon.knode_frames(knode):
@@ -195,13 +181,11 @@ class KlocsPolicy(KlocsNoMigrationPolicy):
     def on_prefetch(self, inode, npages: int) -> None:
         """§4.4: the readahead path exposes kernel objects to the
         prefetcher — pull the inode's knode up alongside its data."""
-        manager = self.kernel.kloc_manager
-        daemon = self.kernel.kloc_daemon
-        if manager is None or daemon is None or inode.knode_id is None:
+        if inode.knode_id is None:
             return
-        knode = manager.knode_for_inode(inode)
+        knode = self.kernel.kloc_manager.knode_for_inode(inode)
         if knode is not None and knode.inuse:
-            daemon.upgrade_knode(knode, limit=16)
+            self.kernel.kloc_daemon.upgrade_knode(knode, limit=16)
 
 
 class KlocsFineGrainedPolicy(KlocsPolicy):

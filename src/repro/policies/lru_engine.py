@@ -74,7 +74,7 @@ class LRUScanEngine:
         return int(npages / self.spec.scan_pages_per_second * SEC)
 
     def _collect(self) -> Tuple[List[PageFrame], List[PageFrame], int]:
-        """O(candidates) collection via the resident-frame indexes.
+        """O(candidates) collection via the live-frame index.
 
         The result equals a walk over every live frame in fid order
         (aging fast-tier residents, counting slow-tier reference streaks);
@@ -95,20 +95,14 @@ class LRUScanEngine:
         cold_rounds = self.spec.cold_age_rounds
 
         demote_candidates: List[PageFrame] = []
-        if self.demote_owners is None:
-            demotable = topo.resident_frames(FAST_TIER).values()
-        else:
-            demotable = [
-                frame
-                for owner in self.demote_owners
-                for frame in topo.resident_frames_by_owner(FAST_TIER, owner).values()
-            ]
-        for frame in demotable:
-            if frame.last_access >= mark:
-                continue
-            frame.lru_age += 1
-            if frame.lru_age >= cold_rounds:
-                demote_candidates.append(frame)
+        owners = PageOwner if self.demote_owners is None else self.demote_owners
+        for owner in owners:
+            for frame in topo.resident_frames_by_owner(FAST_TIER, owner).values():
+                if frame.last_access >= mark:
+                    continue
+                frame.lru_age += 1
+                if frame.lru_age >= cold_rounds:
+                    demote_candidates.append(frame)
         demote_candidates.sort(key=_by_fid)
 
         promote_candidates: List[PageFrame] = []
@@ -134,7 +128,7 @@ class LRUScanEngine:
 
         # The *simulated* scan still visits every live frame (§3.3's rate
         # is the point of the model); only the host-side walk is indexed.
-        return demote_candidates, promote_candidates, len(topo.frames)
+        return demote_candidates, promote_candidates, topo.live_pages()
 
     def scan(self, now_ns: int = 0) -> dict:
         """One scan round: age pages, then migrate hot/cold candidates."""

@@ -60,7 +60,6 @@ class NimblePlusPlusPolicy(TieringPolicy):
     """Nimble's scans extended to kernel objects, sans KLOC abstraction."""
 
     name = "nimble++"
-    migrates_kernel_objects = True
 
     def __init__(self) -> None:
         super().__init__()

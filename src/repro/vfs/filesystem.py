@@ -85,16 +85,6 @@ class Filesystem:
         self._next_fd = 3
         self._handles: Dict[int, FileHandle] = {}
         self._extents: Dict[int, ExtentTree] = {}
-        # op counters
-        self.ops: Dict[str, int] = {
-            "create": 0,
-            "open": 0,
-            "read": 0,
-            "write": 0,
-            "fsync": 0,
-            "close": 0,
-            "unlink": 0,
-        }
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -106,7 +96,6 @@ class Filesystem:
         """Create and open a new file (Figure 3(b)'s open/create path)."""
         if self.dcache.lookup(path) is not None:
             raise VFSError(f"file exists: {path}")
-        self.ops["create"] += 1
 
         inode_obj = self.ctx.alloc_object(KernelObjectType.INODE, None, cpu=cpu)
         inode = self.inodes.create(backing=inode_obj)
@@ -135,7 +124,6 @@ class Filesystem:
         dentry = self.dcache.lookup(path)
         if dentry is None:
             raise VFSError(f"no such file: {path}")
-        self.ops["open"] += 1
         # Name resolution touches the dentry and the inode structure.
         self.ctx.access_object(dentry.backing, cpu=cpu)
         if dentry.inode.backing is not None:
@@ -153,7 +141,6 @@ class Filesystem:
     def close(self, handle: FileHandle, *, cpu: int = 0) -> None:
         if handle.closed:
             raise VFSError(f"fd {handle.fd} already closed")
-        self.ops["close"] += 1
         handle.closed = True
         del self._handles[handle.fd]
         handle.inode.close()
@@ -173,7 +160,6 @@ class Filesystem:
             # the namespace untouched.
             raise VFSError(f"cannot unlink open file: {path}")
         self.dcache.remove(path)
-        self.ops["unlink"] += 1
         inode.deleted = True
 
         cache = self.cache_mgr.cache_for(inode.ino)
@@ -222,7 +208,6 @@ class Filesystem:
             raise VFSError(f"fd {handle.fd} is closed")
         if nbytes <= 0:
             raise ValueError(f"write needs bytes: {nbytes}")
-        self.ops["write"] += 1
         inode = handle.inode
         cache = self._cache(inode)
         tree = cache.tree
@@ -273,7 +258,6 @@ class Filesystem:
             raise VFSError(f"fd {handle.fd} is closed")
         if nbytes <= 0:
             raise ValueError(f"read needs bytes: {nbytes}")
-        self.ops["read"] += 1
         inode = handle.inode
         cache = self._cache(inode)
         limit = min(offset + nbytes, inode.size_bytes)
@@ -326,7 +310,6 @@ class Filesystem:
         """
         if handle.closed:
             raise VFSError(f"fd {handle.fd} is closed")
-        self.ops["fsync"] += 1
         inode = handle.inode
         cache = self._cache(inode)
         dirty = cache.dirty_pages()

@@ -15,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import DEFAULT_RULES, HotPathRule, lint_paths, lint_source
-from repro.analysis.simlint.engine import format_report, iter_python_files
+from repro.analysis.simlint.engine import (
+    format_report,
+    iter_python_files,
+    lint_paths,
+    lint_source,
+)
+from repro.analysis.simlint.rules import DEFAULT_RULES, HotPathRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]

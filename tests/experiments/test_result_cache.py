@@ -1,20 +1,12 @@
-"""The result cache's size budget and the cache maintenance CLI."""
+"""What the result cache counts as an entry, and the cache maintenance CLI."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.experiments.__main__ import main as experiments_main
-from repro.experiments.cache import (
-    ResultCache,
-    cache_max_mb,
-    enforce_size_limit,
-    two_tier_spec,
-    usage,
-)
+from repro.experiments.cache import ResultCache, two_tier_spec, usage
 
 
 def make_file(path: Path, size: int, mtime: float) -> Path:
@@ -33,43 +25,22 @@ _MB = 1 << 20
 
 
 class TestBudget:
-    def test_cache_max_mb_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
-        assert cache_max_mb() is None
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "64")
-        assert cache_max_mb() == 64
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "nope")
-        with pytest.raises(ValueError):
-            cache_max_mb()
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "-1")
-        with pytest.raises(ValueError):
-            cache_max_mb()
+    """The cache has no size budget: a store never evicts, and only the
+    ``*.json`` entries at the cache root are counted or cleared."""
 
-    def test_unbounded_touches_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
-        make_file(tmp_path / "a.json", 2 * _MB, 100)
-        assert enforce_size_limit(tmp_path) == []
-        assert (tmp_path / "a.json").exists()
-
-    def test_evicts_oldest_first(self, tmp_path):
-        old = make_file(tmp_path / "old.json", _MB, 100)
-        mid = make_file(tmp_path / "mid.json", _MB, 200)
-        new = make_file(tmp_path / "new.json", _MB, 300)
-        evicted = enforce_size_limit(tmp_path, max_mb=2)
-        assert evicted == [old]
-        assert not old.exists() and mid.exists() and new.exists()
-
-    def test_mtime_tie_breaks_by_name(self, tmp_path):
-        b = make_file(tmp_path / "b.json", _MB, 100)
-        a = make_file(tmp_path / "a.json", _MB, 100)
-        evicted = enforce_size_limit(tmp_path, max_mb=1)
-        assert evicted == [a]
-        assert b.exists()
+    def test_unbounded_touches_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path, enabled=True)
+        old = make_file(tmp_path / "old.json", 2 * _MB, 100)
+        spec = two_tier_spec("rocksdb", "klocs", ops=10)
+        cache.store(spec, {"kind": "two_tier"})
+        assert old.exists()
+        assert cache.load(spec) == {"kind": "two_tier"}
 
     def test_ignores_foreign_files(self, tmp_path):
         keep = make_file(tmp_path / "notes.txt", 4 * _MB, 100)
         make_file(tmp_path / "a.json", _MB, 200)
-        assert enforce_size_limit(tmp_path, max_mb=8) == []
+        assert usage(tmp_path) == {"files": 1, "bytes": _MB}
+        assert ResultCache(tmp_path, enabled=True).clear() == 1
         assert keep.exists()
 
     def test_usage_counts_result_entries_only(self, tmp_path):
@@ -80,20 +51,11 @@ class TestBudget:
 
     def test_stray_snapshot_is_neither_counted_nor_evicted(self, tmp_path):
         stale = stray_snapshot(tmp_path)
-        old = make_file(tmp_path / "old.json", _MB, 100)
-        new = make_file(tmp_path / "new.json", _MB, 200)
+        make_file(tmp_path / "old.json", _MB, 100)
+        make_file(tmp_path / "new.json", _MB, 200)
         assert usage(tmp_path) == {"files": 2, "bytes": 2 * _MB}
-        assert enforce_size_limit(tmp_path, max_mb=1) == [old]
-        assert stale.exists() and new.exists()
-
-    def test_result_cache_store_enforces_budget(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1")
-        cache = ResultCache(tmp_path, enabled=True)
-        old = make_file(tmp_path / "old.json", 2 * _MB, 100)
-        spec = two_tier_spec("rocksdb", "klocs", ops=10)
-        cache.store(spec, {"kind": "two_tier"})
-        assert not old.exists()
-        assert cache.load(spec) is not None
+        assert ResultCache(tmp_path, enabled=True).clear() == 2
+        assert stale.exists()
 
 
 class TestMaintenanceCli:
@@ -115,7 +77,6 @@ class TestMaintenanceCli:
         assert proc.returncode == 0, proc.stderr
         assert "results:       1 file(s)      0.00 MB" in proc.stdout
         assert "snapshot" not in proc.stdout
-        assert "unbounded" in proc.stdout
 
     def test_cache_clear_empties_results(self, tmp_path):
         stale = stray_snapshot(tmp_path)
@@ -135,4 +96,5 @@ class TestMaintenanceCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert experiments_main(["--cache-info"]) == 0
         out = capsys.readouterr().out
-        assert "budget:    unbounded" in out
+        assert f"cache root: {tmp_path}" in out
+        assert "results:       0 file(s)" in out

@@ -49,9 +49,6 @@ class FakeKernel:
         self.closed_inodes: List = []
         self.unlinked_inodes: List = []
         self.freed_objects: List[KernelObject] = []
-        self.references = 0
-        self.kernel_ref_bytes = 0
-        self.app_ref_bytes = 0
 
     # -- kernel object lifecycle ---------------------------------------
 
@@ -90,8 +87,6 @@ class FakeKernel:
         tier = self.topology.tier(obj.frame.tier_name)
         cost = tier.access_cost_ns(size, write=write)
         obj.frame.record_access(self.clock.now(), write=write)
-        self.references += 1
-        self.kernel_ref_bytes += size
         self.clock.advance(cost)
         return cost
 
@@ -101,8 +96,6 @@ class FakeKernel:
         tier = self.topology.tier(frame.tier_name)
         cost = tier.access_cost_ns(nbytes, write=write)
         frame.record_access(self.clock.now(), write=write)
-        self.references += 1
-        self.app_ref_bytes += nbytes
         self.clock.advance(cost)
         return cost
 

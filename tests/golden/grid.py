@@ -126,6 +126,7 @@ def _two_tier_payload(
 def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
     import repro.platforms.optane as optane
     from repro.experiments.runner import run_optane_interference
+    from repro.metrics.references import reference_report
 
     with _captured_kernel(optane, "build_optane_kernel") as captured:
         throughput = run_optane_interference(
@@ -137,6 +138,7 @@ def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
         )
     (kernel,) = captured
     topo = kernel.topology
+    refs = reference_report(kernel)
     nodes = {}
     for name, node in sorted(kernel.nodes.items()):
         cache = node.hw_cache
@@ -162,11 +164,11 @@ def _optane_payload(workload: str, policy: str) -> Dict[str, Any]:
             for (owner, tier), ns in kernel.access_ns_by.items()
         },
         "refs": {
-            "kernel_refs": kernel.kernel_refs,
-            "kernel_ref_bytes": kernel.kernel_ref_bytes,
-            "app_refs": kernel.app_refs,
-            "app_ref_bytes": kernel.app_ref_bytes,
-            "by_owner": {o.value: n for o, n in kernel.refs_by_owner.items()},
+            "kernel_refs": refs.kernel_refs,
+            "kernel_ref_bytes": refs.kernel_bytes,
+            "app_refs": refs.app_refs,
+            "app_ref_bytes": refs.app_bytes,
+            "by_owner": {o.value: n for o, n in refs.by_owner.items()},
         },
         "migrations": {
             "node0->node1": topo.migrations_between("node0", "node1"),

@@ -1,10 +1,12 @@
-"""``refs_by_tier`` and ``refs_by_owner`` are marginals of one counter.
+"""``refs_by_tier``, ``refs_by_owner`` and the reference report are
+marginals of one counter.
 
-``Kernel._charge`` keeps a single (owner, tier) counter, the one behind
-``access_ns_by``; the two reference reports are summed from it. Here a
-wrapper around ``_charge`` recounts every charge per (owner, tier) on a
-two-tier run and on an Optane run (the NUMA cost path), and both reports
-must equal the recount's marginals.
+``Kernel._charge`` keeps a single (owner, tier) counter of time,
+references and bytes, the one behind ``access_ns_by``; every reference
+report is summed from it. Here a wrapper around ``_charge`` recounts
+every charge and its bytes per (owner, tier) on a two-tier run and on an
+Optane run (the NUMA cost path), and every report must equal the
+recount's marginals.
 """
 
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 
 from repro.experiments.runner import make_workload
 from repro.mem.frame import PageOwner
+from repro.metrics.references import reference_report
 from repro.platforms.optane import build_optane_kernel
 from repro.platforms.twotier import build_two_tier_kernel
 
@@ -20,40 +23,45 @@ SCALE = 4096
 
 
 def _recounting(kernel):
-    """Count every charge per (owner, tier) behind ``kernel._charge``."""
+    """Count every charge and its bytes per (owner, tier) behind
+    ``kernel._charge``."""
     counts = Counter()
+    nbytes_by = Counter()
     charge = kernel._charge  # noqa: SLF001
 
     def counting(frame, nbytes, write):
-        counts[(frame.owner, frame.tier_name)] += 1
+        key = (frame.owner, frame.tier_name)
+        counts[key] += 1
+        nbytes_by[key] += nbytes
         return charge(frame, nbytes, write)
 
     kernel._charge = counting  # noqa: SLF001
-    return counts
+    return counts, nbytes_by
 
 
 def _measure(kernel, workload, ops, *, move_task=False):
-    counts = _recounting(kernel)
+    counts, nbytes_by = _recounting(kernel)
     wl = make_workload(kernel, workload, scale_factor=SCALE)
     wl.setup()
     kernel.reset_reference_counters()
     counts.clear()
+    nbytes_by.clear()
     wl.run(ops)
     if move_task:
         kernel.set_task_node(1)  # remote accesses from here on
         wl.run(ops)
-    return counts
+    return counts, nbytes_by
 
 
 def _two_tier():
     kernel, _ = build_two_tier_kernel("klocs", scale_factor=SCALE, seed=42)
-    return kernel, _measure(kernel, "rocksdb", 400)
+    return (kernel, *_measure(kernel, "rocksdb", 400))
 
 
 def _optane():
     kernel, _ = build_optane_kernel("autonuma", scale_factor=SCALE, seed=42)
     assert kernel.nodes
-    return kernel, _measure(kernel, "redis", 300, move_task=True)
+    return (kernel, *_measure(kernel, "redis", 300, move_task=True))
 
 
 @pytest.fixture(scope="module", params=["two_tier", "optane"])
@@ -62,7 +70,7 @@ def recounted(request):
 
 
 def test_refs_by_tier_is_the_tier_marginal(recounted):
-    kernel, counts = recounted
+    kernel, counts, _ = recounted
     want = Counter()
     for (owner, tier), n in counts.items():
         want[(tier, owner is not PageOwner.APP)] += n
@@ -73,7 +81,7 @@ def test_refs_by_tier_is_the_tier_marginal(recounted):
 
 
 def test_refs_by_owner_is_the_owner_marginal(recounted):
-    kernel, counts = recounted
+    kernel, counts, _ = recounted
     want = {owner: 0 for owner in PageOwner}
     for (owner, _tier), n in counts.items():
         want[owner] += n
@@ -82,17 +90,31 @@ def test_refs_by_owner_is_the_owner_marginal(recounted):
 
 
 def test_recount_keys_are_access_ns_by_keys(recounted):
-    kernel, counts = recounted
+    kernel, counts, _ = recounted
     assert set(kernel.access_ns_by) == set(counts)
 
 
 def test_both_reports_sum_to_all_references(recounted):
-    kernel, counts = recounted
-    total = kernel.kernel_refs + kernel.app_refs
+    kernel, counts, _ = recounted
+    total = reference_report(kernel).total_refs
     assert total == sum(counts.values()) > 0
     assert sum(kernel.refs_by_tier.values()) == total
     assert sum(kernel.refs_by_owner.values()) == total
-    assert kernel.refs_by_owner[PageOwner.APP] == kernel.app_refs
+
+
+def test_reference_report_totals_are_the_recount(recounted):
+    kernel, counts, nbytes_by = recounted
+    want = Counter()
+    for (owner, _tier), n in counts.items():
+        want["app_refs" if owner is PageOwner.APP else "kernel_refs"] += n
+    for (owner, _tier), n in nbytes_by.items():
+        want["app_bytes" if owner is PageOwner.APP else "kernel_bytes"] += n
+    report = reference_report(kernel)
+    got = {name: getattr(report, name) for name in want}
+    assert got == dict(want)
+    assert set(want) == {"kernel_refs", "app_refs", "kernel_bytes", "app_bytes"}
+    assert min(want.values()) > 0
+    assert report.by_owner == kernel.refs_by_owner
 
 
 def test_reset_leaves_only_the_measured_storage_and_background_time(monkeypatch):

@@ -9,6 +9,7 @@ from repro.core.units import MB, PAGE_SIZE
 from repro.kernel.kernel import Kernel
 from repro.kloc.registry import KlocRegistry
 from repro.mem.frame import PageOwner
+from repro.metrics.references import reference_report
 from repro.policies import (
     OPTANE_POLICIES,
     TWO_TIER_POLICIES,
@@ -100,7 +101,7 @@ class TestObjectRouting:
 def _if_chain(kernel, otype, covered):
     """The allocator the kernel's original per-call ``if`` chain chose."""
     if otype.allocator is AllocatorKind.SLAB:
-        if covered and kernel.policy.uses_kloc_interface:
+        if covered:
             return kernel.kloc_alloc.alloc
         return kernel.slab.alloc
     return kernel.page_alloc.alloc_object
@@ -163,9 +164,10 @@ class TestAccounting:
         app = kernel.alloc_app_pages(1)[0]
         kernel.access_object(obj, 100)
         kernel.access_frame(app, 100)
-        assert kernel.kernel_refs == 1
-        assert kernel.app_refs == 1
-        assert kernel.kernel_ref_fraction() == pytest.approx(0.5)
+        report = reference_report(kernel)
+        assert (report.kernel_refs, report.kernel_bytes) == (1, 100)
+        assert (report.app_refs, report.app_bytes) == (1, 100)
+        assert report.kernel_fraction() == pytest.approx(0.5)
 
     def test_access_freed_object_rejected(self):
         kernel = make_kernel()
@@ -185,7 +187,7 @@ class TestAccounting:
         obj = kernel.alloc_object(KernelObjectType.PAGE_CACHE)
         kernel.access_object(obj)
         kernel.reset_reference_counters()
-        assert kernel.kernel_refs == 0
+        assert reference_report(kernel).total_refs == 0
         assert kernel.fast_ref_fraction() == 0.0
 
     def test_reset_clears_time_decomposition(self):

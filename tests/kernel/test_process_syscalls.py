@@ -7,6 +7,7 @@ from repro.core.units import KB, MB, PAGE_SIZE
 from repro.kernel.process import Process
 from repro.kernel.syscalls import SyscallInterface
 from repro.kernel.cpu import CpuSet
+from repro.metrics.references import reference_report
 from tests.kernel.test_kernel import make_kernel
 
 
@@ -47,13 +48,13 @@ class TestProcess:
         proc.alloc_region("heap", 4 * PAGE_SIZE)
         cost = proc.touch("heap", 2 * PAGE_SIZE, write=True)
         assert cost > 0
-        assert kernel.app_refs == 2
+        assert reference_report(kernel).app_refs == 2
 
     def test_touch_wraps_around(self, kernel):
         proc = Process(kernel, "app")
         proc.alloc_region("heap", 2 * PAGE_SIZE)
         proc.touch("heap", 4 * PAGE_SIZE, page_hint=1)  # wraps twice
-        assert kernel.app_refs == 4
+        assert reference_report(kernel).app_refs == 4
 
     def test_touch_missing_region_rejected(self, kernel):
         proc = Process(kernel, "app")

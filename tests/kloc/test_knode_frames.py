@@ -55,9 +55,10 @@ def brute_knode_frames(kernel, knode):
 
 def brute_kernel_pages(topology, tier_name):
     return sum(
-        count
-        for (tier, owner), count in topology.live_count.items()
-        if tier == tier_name and owner is not PageOwner.APP
+        1
+        for view in topology.live_frames.values()
+        for frame in view.values()
+        if frame.tier_name == tier_name and frame.owner is not PageOwner.APP
     )
 
 

@@ -38,10 +38,10 @@ class TestMemsizeEndToEnd:
         KlocAPI(kernel.kloc_manager).sys_kloc_memsize("fast", 0.01)
         fh = kernel.fs.create("/f")
         kernel.fs.write(fh, 0, 512 * KB)
-        live = kernel.topology.live_count
-        app_fast = live.get(("fast", PageOwner.APP), 0)
+        live = kernel.topology.live_frames
+        app_fast = len(live.get(("fast", PageOwner.APP), ()))
         assert app_fast == 200
         kernel_share = fast.capacity_pages - app_fast - policy.APP_GROWTH_MARGIN
         # Transient journal/bio objects are exempt by design; the page
         # cache is not.
-        assert live.get(("fast", PageOwner.PAGE_CACHE), 0) <= kernel_share
+        assert len(live.get(("fast", PageOwner.PAGE_CACHE), ())) <= kernel_share

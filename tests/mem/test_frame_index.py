@@ -1,8 +1,9 @@
-"""Tests for the topology's resident-frame indexes and referenced journal.
+"""Tests for the topology's live-frame index and referenced journal.
 
-The PR-2 scanners (LRU engine, AutoNUMA family) consult these instead of
-walking the global frame table, so index maintenance must be airtight at
-every frame lifecycle event: allocation, free, and cross-tier migration.
+The scanners (LRU engine, AutoNUMA family) walk only the (tier, owner)
+views of their candidates, and every live count is derived from the
+index, so its maintenance must be airtight at every frame lifecycle
+event: allocation, free, and cross-tier migration.
 """
 
 import pytest
@@ -26,9 +27,10 @@ def topo():
 class TestResidentIndex:
     def test_allocation_lands_in_tier_index(self, topo):
         frames = topo.allocate(6, ["fast"], PageOwner.APP)
-        resident = topo.resident_frames("fast")
+        resident = topo.resident_frames_by_owner("fast", PageOwner.APP)
         assert sorted(resident) == sorted(f.fid for f in frames)
-        assert topo.resident_frames("slow") == {}
+        assert topo.resident_frames_by_owner("slow", PageOwner.APP) == {}
+        assert list(topo.live_frames) == [("fast", PageOwner.APP)]
 
     def test_owner_view_is_disjoint_by_owner(self, topo):
         app = topo.allocate(3, ["fast"], PageOwner.APP)
@@ -41,23 +43,22 @@ class TestResidentIndex:
     def test_free_removes_from_all_indexes(self, topo):
         frames = topo.allocate(4, ["fast"], PageOwner.APP)
         topo.free(frames[0], now_ns=0)
-        assert frames[0].fid not in topo.resident_frames("fast")
         assert frames[0].fid not in topo.resident_frames_by_owner(
             "fast", PageOwner.APP
         )
+        assert frames[0] not in topo.drain_referenced()
         topo.check_invariants()
 
     def test_move_frame_switches_index_tier(self, topo):
         (frame,) = topo.allocate(1, ["fast"], PageOwner.APP)
         topo.move_frame(frame, "slow")
-        assert frame.fid not in topo.resident_frames("fast")
-        assert frame.fid in topo.resident_frames("slow")
+        assert frame.fid not in topo.resident_frames_by_owner("fast", PageOwner.APP)
         assert frame.fid in topo.resident_frames_by_owner("slow", PageOwner.APP)
         topo.check_invariants()
 
     def test_unknown_tier_rejected(self, topo):
         with pytest.raises(Exception):
-            topo.resident_frames("hbm")
+            topo.resident_frames_by_owner("hbm", PageOwner.APP)
 
     def test_iter_frames_by_owner_spans_tiers(self, topo):
         fast = topo.allocate(2, ["fast"], PageOwner.APP)

@@ -76,7 +76,9 @@ class TestAllocation:
         ]
         assert [f.tier_name for f in multi].count("slow") == 7
         assert dict(topo.alloc_count) == dict(singles.alloc_count)
-        assert dict(topo.live_count) == dict(singles.live_count)
+        assert {k: list(v) for k, v in topo.live_frames.items()} == {
+            k: list(v) for k, v in singles.live_frames.items()
+        }
         for name in topo.tiers:
             a, b = topo.tier(name), singles.tier(name)
             assert (a.used_pages, a.total_allocs, a.peak_pages) == (
@@ -151,7 +153,10 @@ class TestCounters:
     def test_live_count_tracks_frees(self, topo):
         frames = topo.allocate(3, ["fast"], PageOwner.APP)
         topo.free(frames[0], now_ns=1)
-        assert topo.live_count[("fast", PageOwner.APP)] == 2
+        assert list(topo.live_frames[("fast", PageOwner.APP)]) == [
+            f.fid for f in frames[1:]
+        ]
+        assert topo.live_pages("fast") == topo.live_pages() == 2
 
     def test_live_pages_by_owner(self, topo):
         topo.allocate(3, ["fast"], PageOwner.APP)
@@ -180,16 +185,26 @@ class TestCounters:
         topo.move_frame(moved, "slow")
         assert topo.kernel_pages_in("fast") == 2
         assert topo.kernel_pages_in("slow") == 1
-        assert ("slow", PageOwner.APP) not in topo.live_count  # read, not inserted
+        assert ("slow", PageOwner.APP) not in topo.live_frames  # read, not inserted
 
     def test_per_tier_live_count_drift_detected(self, topo):
-        topo.allocate(2, ["fast"], PageOwner.SLAB)
+        frame, _ = topo.allocate(2, ["fast"], PageOwner.SLAB)
         topo.allocate(2, ["slow"], PageOwner.SLAB)
-        # A move that updated the source tier's count but credited the
-        # wrong tier: the global sum still balances.
-        topo.live_count[("fast", PageOwner.SLAB)] -= 1
-        topo.live_count[("slow", PageOwner.SLAB)] += 1
-        with pytest.raises(SimulationError, match="kernel_pages_in"):
+        # A move that re-homed the frame and its index entry but not the
+        # tier counters: the global sum still balances.
+        del topo.live_frames[("fast", PageOwner.SLAB)][frame.fid]
+        topo.live_frames[("slow", PageOwner.SLAB)][frame.fid] = frame
+        frame.tier_name = "slow"
+        with pytest.raises(SimulationError, match="live index has 1 frames"):
+            topo.check_invariants()
+
+    def test_index_entry_under_wrong_key_detected(self, topo):
+        (frame,) = topo.allocate(1, ["fast"], PageOwner.SLAB)
+        topo.allocate(1, ["slow"], PageOwner.SLAB)
+        # A move that re-homed the index entry but not the frame.
+        del topo.live_frames[("fast", PageOwner.SLAB)][frame.fid]
+        topo.live_frames[("slow", PageOwner.SLAB)][frame.fid] = frame
+        with pytest.raises(SimulationError, match="out of sync"):
             topo.check_invariants()
 
 

@@ -44,12 +44,11 @@ class TestRegistries:
 
     def test_policy_flags(self):
         assert not NaivePolicy.uses_kloc
-        assert not NimblePolicy.migrates_kernel_objects
-        assert NimblePlusPlusPolicy.migrates_kernel_objects
-        assert KlocsPolicy.uses_kloc and KlocsPolicy.uses_kloc_interface
-        assert KlocsPolicy.migrates_kernel_objects
+        assert not NimblePolicy.uses_kloc
+        assert not NimblePlusPlusPolicy.uses_kloc
+        assert KlocsPolicy.uses_kloc
         assert KlocsNoMigrationPolicy.uses_kloc
-        assert not KlocsNoMigrationPolicy.migrates_kernel_objects
+        assert KlocsFineGrainedPolicy.uses_kloc
 
 
 class TestPlacementRules:

@@ -1,11 +1,11 @@
 """Behavioral tests for the periodic scanners, checked against a reference.
 
-These pin down the decision rules the resident-frame indexes must
+These pin down the decision rules the live-frame index must
 preserve exactly: watermark-gated demotion, two-touch promotion with
 streak reset, and AutoNUMA's batch-limited wakeups. Every test runs
 against the production (indexed) scanners and against the reference
-implementations below — straightforward walks over the global frame
-table, in fid order — so a regression in the indexed scanners, or a
+implementations below — straightforward walks over every live frame,
+in fid order — so a regression in the indexed scanners, or a
 divergence from the reference, fails loudly.
 """
 
@@ -22,12 +22,18 @@ from repro.policies.lru_engine import FAST_TIER, SLOW_TIER
 from repro.policies.nimble import NimblePolicy
 
 
+def live_frames_by_fid(topology):
+    """Every live frame in fid (allocation) order, from the live index."""
+    frames = [f for view in topology.live_frames.values() for f in view.values()]
+    return sorted(frames, key=lambda f: f.fid)
+
+
 def reference_collect(lru):
     """LRUScanEngine._collect as a walk over every live frame."""
     demote_candidates = []
     promote_candidates = []
     visited = 0
-    for frame in list(lru.kernel.topology.frames.values()):
+    for frame in live_frames_by_fid(lru.kernel.topology):
         if not frame.live:
             continue
         visited += 1
@@ -52,10 +58,10 @@ def reference_collect(lru):
 
 
 def reference_numa_scan(pol, now_ns=0):
-    """NumaPolicyBase._scan as a walk over the global frame table."""
+    """NumaPolicyBase._scan as a walk over every live frame in fid order."""
     home_tier = pol.node_tier(pol.preferred_node())
     candidates = []
-    for frame in pol.kernel.topology.frames.values():
+    for frame in live_frames_by_fid(pol.kernel.topology):
         if frame.tier_name == home_tier or not frame.relocatable:
             continue
         if frame.owner in pol.migrate_owners:

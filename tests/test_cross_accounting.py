@@ -61,8 +61,10 @@ class TestMetricsVsKernelCounters:
     def test_reference_report_totals(self, traced_run):
         kernel, _, _ = traced_run
         report = reference_report(kernel)
-        assert report.total_refs == kernel.kernel_refs + kernel.app_refs
-        assert sum(report.by_owner.values()) == report.total_refs
+        by_owner = report.by_owner
+        assert report.kernel_refs == sum(n for o, n in by_owner.items() if o.is_kernel)
+        assert report.app_refs == sum(n for o, n in by_owner.items() if not o.is_kernel)
+        assert sum(by_owner.values()) == report.total_refs > 0
 
     def test_footprint_totals_match_topology(self, traced_run):
         kernel, _, _ = traced_run
@@ -72,9 +74,7 @@ class TestMetricsVsKernelCounters:
 
     def test_tier_refs_sum_to_total(self, traced_run):
         kernel, _, _ = traced_run
-        assert sum(kernel.refs_by_tier.values()) == (
-            kernel.kernel_refs + kernel.app_refs
-        )
+        assert sum(kernel.refs_by_tier.values()) == reference_report(kernel).total_refs
 
     def test_migration_engine_matches_topology(self, traced_run):
         kernel, _, _ = traced_run

@@ -21,6 +21,7 @@ from repro.kernel.kernel import Kernel
 from repro.mem.frame import PageOwner
 from repro.mem.migration import MigrationEngine
 from repro.mem.topology import MemoryTopology
+from repro.metrics.references import reference_report
 from repro.policies import KlocsPolicy, NaivePolicy
 
 
@@ -167,7 +168,7 @@ class TestDeterminismUnderConcurrentDaemons:
             return (
                 kernel.clock.now(),
                 kernel.topology.live_pages(),
-                kernel.kernel_refs,
+                reference_report(kernel).kernel_refs,
                 kernel.topology.migrations_between("fast", "slow"),
             )
 

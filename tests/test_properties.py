@@ -3,7 +3,7 @@
 These drive random operation sequences through the allocators, the
 topology, and the knode machinery, asserting the conservation laws the
 whole simulation rests on: no page is leaked or double-accounted, tier
-counters always match the frame table, and knode membership mirrors
+counters always match the live-frame index, and knode membership mirrors
 object lifetimes.
 """
 
@@ -20,6 +20,7 @@ from repro.alloc.slab import SlabAllocator
 from repro.kloc.knode import Knode
 from repro.mem.frame import PageOwner
 from repro.mem.topology import MemoryTopology
+from repro.metrics.footprint import footprint_snapshot
 
 SLAB_TYPES = [
     KernelObjectType.DENTRY,
@@ -114,7 +115,8 @@ def test_kloc_allocator_conservation(ops):
     )
 )
 def test_topology_counters_track_frame_table(ops):
-    """alloc/free/move interleavings keep live_count == frame table."""
+    """alloc/free/move interleavings keep every count derived from the
+    live-frame index equal to a brute recount of the frames held."""
     topo = fresh_topology()
     live = []
     owners = [PageOwner.APP, PageOwner.PAGE_CACHE, PageOwner.SLAB, PageOwner.JOURNAL]
@@ -130,6 +132,24 @@ def test_topology_counters_track_frame_table(ops):
                 topo.move_frame(frame, target)
     topo.check_invariants()
     assert topo.live_pages() == len(live)
+    by_key = {}
+    for frame in live:
+        by_key.setdefault((frame.tier_name, frame.owner), set()).add(frame.fid)
+    for tier in topo.tiers:
+        on_tier = [f for f in live if f.tier_name == tier]
+        assert topo.live_pages(tier) == len(on_tier)
+        assert topo.kernel_pages_in(tier) == sum(f.owner.is_kernel for f in on_tier)
+        for owner in PageOwner:
+            view = topo.resident_frames_by_owner(tier, owner)
+            assert set(view) == by_key.get((tier, owner), set())
+    snap = footprint_snapshot(topo)
+    assert snap.live == {
+        owner: sum(f.owner is owner for f in live) for owner in snap.allocated
+    }
+    for owner in PageOwner:
+        held = {f.fid for f in live if f.owner is owner}
+        assert topo.live_pages_by_owner(owner) == len(held)
+        assert {f.fid for f in topo.iter_frames_by_owner(owner)} == held
 
 
 @settings(max_examples=40, deadline=None)

@@ -95,9 +95,10 @@ class TestDataPath:
         fh = fs.create("/a")
         fs.write(fh, 0, PAGE_SIZE)
         live_types = set()
-        for frame in kernel.topology.frames.values():
-            if frame.obj_type:
-                live_types.add(frame.obj_type)
+        for view in kernel.topology.live_frames.values():
+            for frame in view.values():
+                if frame.obj_type:
+                    live_types.add(frame.obj_type)
         assert "PAGE_CACHE" in live_types
         assert "INODE" in live_types
         assert "DENTRY" in live_types

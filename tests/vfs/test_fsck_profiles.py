@@ -75,12 +75,12 @@ class TestFilebenchProfiles:
     def test_varmail_churns_inodes(self):
         kernel, wl = make_filebench("varmail")
         wl.setup()
-        creates_before = kernel.fs.ops["create"]
+        creates_before = wl.sys.counts.get("creat", 0)
         wl.run(400)
         # Heavy namespace churn: creates, unlinks, and fsyncs all fire.
-        assert kernel.fs.ops["create"] > creates_before + 50
-        assert kernel.fs.ops["unlink"] > 20
-        assert kernel.fs.ops["fsync"] > 50
+        assert wl.sys.counts.get("creat", 0) > creates_before + 50
+        assert wl.sys.counts.get("unlink", 0) > 20
+        assert wl.sys.counts.get("fsync", 0) > 50
         kernel.fs.check_consistency()
         wl.teardown()
         kernel.topology.check_invariants()
@@ -112,10 +112,10 @@ class TestFilebenchProfiles:
         kernel, wl = make_filebench("webserver")
         wl.setup()
         kernel.reset_reference_counters()
-        reads_before = kernel.fs.ops["read"]
+        reads_before = wl.sys.counts.get("read", 0)
         wl.run(300)
-        assert kernel.fs.ops["read"] - reads_before == 300
-        assert kernel.fs.ops["open"] >= 300  # open-read-close per hit
+        assert wl.sys.counts.get("read", 0) - reads_before == 300
+        assert wl.sys.counts.get("open", 0) >= 300  # open-read-close per hit
         kernel.fs.check_consistency()
         wl.teardown()
 

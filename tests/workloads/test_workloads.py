@@ -11,6 +11,7 @@ from repro.core.errors import ConfigError
 from repro.core.units import GB, MB
 from repro.kernel.kernel import Kernel
 from repro.mem.frame import PageOwner
+from repro.metrics.references import reference_report
 from repro.policies import NaivePolicy
 from repro.workloads import WORKLOADS
 from repro.workloads.base import WorkloadConfig
@@ -95,10 +96,10 @@ class TestRocksDB:
         kernel, wl = make("rocksdb")
         wl.run(800)
         assert wl.flushes > 0
-        assert kernel.fs.ops["create"] > 0
+        assert wl.sys.counts.get("creat", 0) > 0
         # Compaction deletes files.
         if wl.compactions:
-            assert kernel.fs.ops["unlink"] >= wl.compactions
+            assert wl.sys.counts.get("unlink", 0) >= wl.compactions
 
     def test_kernel_object_mix(self):
         kernel, wl = make("rocksdb")
@@ -124,7 +125,7 @@ class TestRedis:
 
         wl.run(R.OPS_PER_CHECKPOINT * 2 + 10)
         assert wl.checkpoints >= 2
-        assert kernel.fs.ops["unlink"] >= 1  # old dump deleted
+        assert wl.sys.counts.get("unlink", 0) >= 1  # old dump deleted
 
 
 class TestFilebench:
@@ -133,7 +134,7 @@ class TestFilebench:
         wl.setup()
         kernel.reset_reference_counters()
         wl.run(300)
-        assert kernel.kernel_ref_fraction() > 0.75  # paper: 86% in-OS time
+        assert reference_report(kernel).kernel_fraction() > 0.75  # paper: 86% in-OS time
 
 
 class TestCassandra:
@@ -143,12 +144,12 @@ class TestCassandra:
         kernel.reset_reference_counters()
         wl.run(300)
         # The heavy JVM/app-cache path keeps the kernel share low.
-        assert kernel.kernel_ref_fraction() < 0.5
+        assert reference_report(kernel).kernel_fraction() < 0.5
 
     def test_commitlog_appends(self):
         kernel, wl = make("cassandra")
         wl.run(300)
-        assert kernel.fs.ops["write"] > 0
+        assert wl.sys.counts.get("write", 0) > 0
 
 
 class TestSpark:
@@ -159,7 +160,7 @@ class TestSpark:
         assert wl.done
         assert len(wl._outputs) > 0
         # Inputs and spills were deleted (checkpoint-and-delete).
-        assert kernel.fs.ops["unlink"] >= 2 * len(wl._outputs)
+        assert wl.sys.counts.get("unlink", 0) >= 2 * len(wl._outputs)
 
     def test_phases_in_order(self):
         _, wl = make("spark")
@@ -183,7 +184,7 @@ class TestReferenceCalibration:
             wl.setup()
             kernel.reset_reference_counters()
             wl.run(300)
-            fractions[name] = kernel.kernel_ref_fraction()
+            fractions[name] = reference_report(kernel).kernel_fraction()
         assert fractions["filebench"] > 0.7
         assert fractions["cassandra"] < 0.5
         assert fractions["filebench"] > fractions["cassandra"]
