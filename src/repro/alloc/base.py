@@ -41,8 +41,6 @@ class KernelObject:
     allocator: str
     allocated_at: int
     freed_at: Optional[int] = None
-    reads: int = 0
-    writes: int = 0
 
     @property
     def live(self) -> bool:

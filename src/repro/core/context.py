@@ -66,9 +66,10 @@ class KernelContext(Protocol):
         ...
 
     def access_frame(
-        self, frame: "PageFrame", nbytes: int, *, write: bool = False, cpu: int = 0
+        self, frame: "PageFrame", nbytes: int, write: bool = False
     ) -> int:
-        """One reference to a raw frame (application pages)."""
+        """One reference to a raw frame (application pages); charged like
+        :meth:`access_object`, without the hotness refresh."""
         ...
 
     # -- application memory ----------------------------------------------

@@ -58,8 +58,8 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "setdefault",
     "move_to_end",
     # registered hot functions / same-layer accounting calls
-    "_charge",
     "access_cost_ns",
+    "access_frame",
     "allocate",
     "free",
     "record",

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Dict, List, Sequence, Tuple, TypeVar
+from typing import Dict, Tuple
 
-T = TypeVar("T")
 ZipfConstants = Tuple[float, float, float, float]
 
 #: Exact ``zeta(n, theta)`` for the key universes the workloads draw
@@ -39,7 +38,15 @@ class DeterministicRNG:
 
     def __init__(self, seed: int = 42) -> None:
         self._seed = seed
-        self._random = random.Random(seed)
+        self._random = rand = random.Random(seed)
+        # The draws are the seeded generator's own bound methods, so a
+        # draw costs no wrapper frame.
+        #: Uniform float in [0, 1).
+        self.random = rand.random
+        #: ``randint(lo, hi)``: uniform integer in [lo, hi] inclusive.
+        self.randint = rand.randint
+        #: ``choice(seq)``: one element of a non-empty sequence.
+        self.choice = rand.choice
 
     @property
     def seed(self) -> int:
@@ -54,23 +61,6 @@ class DeterministicRNG:
         """
         child_seed = zlib.crc32(f"{self._seed}:{name}".encode()) & 0x7FFFFFFF
         return DeterministicRNG(child_seed)
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        return self._random.randint(lo, hi)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._random.random()
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._random.choice(seq)
-
-    def shuffle(self, seq: List[T]) -> None:
-        self._random.shuffle(seq)
-
-    def expovariate(self, rate: float) -> float:
-        return self._random.expovariate(rate)
 
     def zipf(self, n: int, theta: float = 0.99) -> int:
         """Zipfian draw in [0, n), YCSB-style skew parameter ``theta``.

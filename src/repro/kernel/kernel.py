@@ -65,9 +65,9 @@ class Kernel:
         self.cpus = CpuSet(platform.num_cpus)
 
         self.topology = MemoryTopology([platform.fast, platform.slow])
-        # Direct name → tier map for the access hot path (skips the
-        # topology's checked lookup on every charged reference).
-        self._tiers = self.topology.tiers
+        #: Tier name → the tier's (read, write) cost tables, for the
+        #: charge path's one lookup per reference.
+        self._costs = {name: tier.costs for name, tier in self.topology.tiers.items()}
         #: The machine's shared sanitizer ledger (None unless
         #: ``REPRO_SANITIZE=1`` was set when the topology was built).
         self._san = self.topology.sanitizer
@@ -250,51 +250,6 @@ class Kernel:
     # ------------------------------------------------------------------
 
     @hot
-    def _charge(self, frame: PageFrame, nbytes: int, write: bool) -> int:
-        """Charge one reference of ``nbytes`` to ``frame`` at the current
-        virtual time and return its cost; the caller advances the clock.
-
-        The one charge primitive behind every access path: the cost (the
-        NUMA node's, hardware DRAM cache included, when the kernel has
-        nodes; the tier formula otherwise), the tier byte counters, the
-        (owner, tier) cell every reference count and byte total is summed
-        from, and the frame's access record.
-        """
-        tier_name = frame.tier_name
-        owner = frame.owner
-        nodes = self.nodes
-        if nodes:
-            cost = nodes[tier_name].access_cost_ns(
-                frame.fid, nbytes, write=write, from_node=self.task_node
-            )
-        else:
-            tier = self._tiers[tier_name]
-            if write:
-                tier.bytes_written += nbytes
-                cost = tier.write_latency_ns + int(
-                    nbytes * tier.slowdown / tier.write_bw
-                )
-            else:
-                tier.bytes_read += nbytes
-                cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
-        cell = self._charges[owner][tier_name]
-        cell[0] += cost
-        cell[1] += 1
-        cell[2] += nbytes
-        # frame.record_access(now, write=write), inlined:
-        frame.last_access = self.clock._now  # noqa: SLF001 - hot-path read
-        frame.lru_age = 0
-        journal = frame.journal
-        if journal is not None:
-            journal[frame.fid] = frame
-        if write:
-            frame.writes += 1
-            frame.dirty = True
-        else:
-            frame.reads += 1
-        return cost
-
-    @hot
     def access_object(
         self,
         obj: KernelObject,
@@ -308,23 +263,49 @@ class Kernel:
                 raise self._san.dead_object_error(obj)
             raise SimulationError(f"access to freed object {obj!r}")
         size = nbytes if nbytes is not None else obj.otype.size_bytes
-        cost = self._charge(obj.frame, size, write)
-        self.clock.advance(cost)
+        cost = self.access_frame(obj.frame, size, write)
         note_access = self._note_access
         if note_access is not None and obj.knode_id is not None:
             note_access(obj, cpu=cpu)
         return cost
 
     @hot
-    def access_frame(
-        self, frame: PageFrame, nbytes: int, *, write: bool = False, cpu: int = 0
-    ) -> int:
+    def access_frame(self, frame: PageFrame, nbytes: int, write: bool = False) -> int:
+        """Charge one reference of ``nbytes`` to ``frame`` and return its cost.
+
+        The one charge primitive behind every access path. It prices the
+        reference (the NUMA node's cost, hardware DRAM cache included,
+        when the kernel has nodes; the tier's cost table otherwise), adds
+        it to the (owner, tier) cell every reference count and byte total
+        is summed from, records the access on the frame at the current
+        virtual time, and then advances the clock by the cost.
+        """
         if frame.freed_at is not None:
             if self._san is not None:
                 raise self._san.dead_frame_error(frame)
             raise SimulationError(f"access to freed frame {frame!r}")
-        cost = self._charge(frame, nbytes, write)
-        self.clock.advance(cost)
+        tier_name = frame.tier_name
+        nodes = self.nodes
+        if nodes:
+            cost = nodes[tier_name].access_cost_ns(
+                frame.fid, nbytes, write=write, from_node=self.task_node
+            )
+        else:
+            cost = self._costs[tier_name][write][nbytes]
+        cell = self._charges[frame.owner][tier_name]
+        cell[0] += cost
+        cell[1] += 1
+        cell[2] += nbytes
+        # frame.record_access(now, write=write), inlined:
+        clock = self.clock
+        frame.last_access = clock._now  # noqa: SLF001 - hot-path read
+        frame.lru_age = 0
+        journal = frame.journal
+        if journal is not None:
+            journal[frame.fid] = frame
+        if write:
+            frame.dirty = True
+        clock.advance(cost)
         return cost
 
     # ------------------------------------------------------------------
@@ -507,7 +488,7 @@ class Kernel:
         #: ``refs_by_tier``, ``refs_by_owner``, ``ref_bytes_by_owner`` and
         #: the reference report's totals are its marginals.
         self._charges: Dict[PageOwner, Dict[str, List[int]]] = {
-            o: {t: [0, 0, 0] for t in self._tiers} for o in PageOwner
+            o: {t: [0, 0, 0] for t in self.topology.tiers} for o in PageOwner
         }
 
     def fast_ref_fraction(self, fast_tier: str = "fast") -> float:

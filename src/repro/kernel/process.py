@@ -72,7 +72,6 @@ class Process:
         *,
         write: bool = False,
         page_hint: int = 0,
-        cpu: int = 0,
     ) -> int:
         """Reference ``nbytes`` of a region starting at ``page_hint``
         (wrapping), returning the charged cost. Models the app-side work
@@ -92,7 +91,7 @@ class Process:
             chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
             frame = frames[index]
             if frame.freed_at is None:
-                cost += access_frame(frame, chunk, write=write, cpu=cpu)
+                cost += access_frame(frame, chunk, write)
             remaining -= chunk
             if remaining <= 0:
                 return cost

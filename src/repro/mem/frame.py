@@ -64,8 +64,6 @@ class PageFrame:
         "allocated_at",
         "freed_at",
         "last_access",
-        "reads",
-        "writes",
         "migrations",
         "lru_age",
         "scan_ref_streak",
@@ -95,8 +93,6 @@ class PageFrame:
         self.allocated_at = allocated_at
         self.freed_at: Optional[int] = None
         self.last_access = allocated_at
-        self.reads = 0
-        self.writes = 0
         self.migrations = 0
         self.lru_age = 0
         #: Consecutive scan windows in which this page was referenced —
@@ -137,10 +133,7 @@ class PageFrame:
         if journal is not None:
             journal[self.fid] = self
         if write:
-            self.writes += 1
             self.dirty = True
-        else:
-            self.reads += 1
 
     def record_migration(self) -> None:
         """Bump the saturating 8-bit migration counter (§4.5)."""

@@ -56,9 +56,8 @@ class NumaNode:
             self.local_accesses += 1
 
         if self.hw_cache is not None and self.hw_cache.access(fid):
-            slowdown = 1 + self.tier.contention_streams
             cost = DRAM_HIT_LATENCY_NS + int(
-                nbytes * slowdown / DRAM_HIT_BW_BYTES_PER_NS
+                nbytes * self.tier.slowdown / DRAM_HIT_BW_BYTES_PER_NS
             )
         else:
             cost = self.tier.access_cost_ns(nbytes, write=write)

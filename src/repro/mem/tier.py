@@ -4,8 +4,30 @@ from __future__ import annotations
 
 from repro.core.config import TierSpec
 from repro.core.errors import SimulationError
-from repro.core.hotpath import hot
 from repro.core.units import PAGE_SIZE
+
+
+class CostTable(dict):
+    """``{nbytes: ns}`` for one direction of one tier, valid at the tier's
+    current ``slowdown``. A miss prices ``nbytes`` through the tier's one
+    cost formula, ``latency + int(nbytes * slowdown / bw)``, and keeps the
+    result; references come in a handful of sizes, so nearly every
+    lookup is a hit."""
+
+    __slots__ = ("tier", "latency_ns", "bw")
+
+    def __init__(self, tier: "MemoryTier", latency_ns: int, bw: float) -> None:
+        super().__init__()
+        self.tier = tier
+        self.latency_ns = latency_ns
+        self.bw = bw
+
+    def __missing__(self, nbytes: int) -> int:
+        if nbytes < 0:
+            raise ValueError(f"negative access size: {nbytes}")
+        cost = self.latency_ns + int(nbytes * self.tier.slowdown / self.bw)
+        self[nbytes] = cost
+        return cost
 
 
 class MemoryTier:
@@ -28,22 +50,18 @@ class MemoryTier:
         self.peak_pages = 0
         self.total_allocs = 0
         self.total_frees = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        # Cost coefficients cached off the spec so the per-access hot
-        # path does plain attribute loads instead of re-deriving them
-        # through ``self.spec`` each call. The cost *expression* stays
-        # ``latency + int(nbytes * slowdown / bw)`` — same operands, same
-        # order — so results are bit-identical to the uncached form.
-        self.read_latency_ns = spec.read_latency_ns
-        self.write_latency_ns = spec.write_latency_ns
-        self.read_bw = spec.read_bw_bytes_per_ns
-        self.write_bw = spec.write_bw_bytes_per_ns
         self._contention_streams = 0
         #: ``1 + contention_streams``, refreshed whenever the stream count
         #: changes (interference experiments mutate it between phases,
         #: never inside an access).
         self.slowdown = 1
+        #: Per-direction cost tables, indexed by ``write`` (read, then
+        #: write): ``{nbytes: ns}`` at the current ``slowdown``. The
+        #: ``contention_streams`` setter empties both.
+        self.costs = (
+            CostTable(self, spec.read_latency_ns, spec.read_bw_bytes_per_ns),
+            CostTable(self, spec.write_latency_ns, spec.write_bw_bytes_per_ns),
+        )
 
     @property
     def contention_streams(self) -> int:
@@ -54,6 +72,8 @@ class MemoryTier:
     def contention_streams(self, value: int) -> None:
         self._contention_streams = value
         self.slowdown = 1 + value
+        for table in self.costs:
+            table.clear()
 
     @property
     def free_pages(self) -> int:
@@ -88,42 +108,19 @@ class MemoryTier:
         self.used_pages -= npages
         self.total_frees += npages
 
-    @hot
     def access_cost_ns(self, nbytes: int, *, write: bool = False) -> int:
         """Cost of moving ``nbytes`` to/from this device, with contention."""
-        if nbytes < 0:
-            raise ValueError(f"negative access size: {nbytes}")
-        if write:
-            latency = self.write_latency_ns
-            bw = self.write_bw
-            self.bytes_written += nbytes
-        else:
-            latency = self.read_latency_ns
-            bw = self.read_bw
-            self.bytes_read += nbytes
-        return latency + int(nbytes * self.slowdown / bw)
+        return self.costs[write][nbytes]
 
     def bulk_access_cost_ns(
         self, nbytes: int, count: int, *, write: bool = False
     ) -> int:
-        """Cost of ``count`` independent ``nbytes`` accesses.
-
-        Bit-identical to summing ``count`` calls of :meth:`access_cost_ns`
-        (the unit cost is state-independent within a batch — contention
-        can't change mid-batch in the single-threaded simulator), but
-        prices the batch with one cost computation. Byte counters are
-        charged for the full batch.
-        """
+        """Cost of ``count`` independent ``nbytes`` accesses: ``count``
+        times the unit cost (contention cannot change mid-batch in the
+        single-threaded simulator)."""
         if count <= 0:
             return 0
-        unit = self.access_cost_ns(nbytes, write=write)
-        if count > 1:
-            extra = nbytes * (count - 1)
-            if write:
-                self.bytes_written += extra
-            else:
-                self.bytes_read += extra
-        return unit * count
+        return self.costs[write][nbytes] * count
 
     def utilization(self) -> float:
         return self.used_pages / self.capacity_pages

@@ -29,6 +29,8 @@ class ReadaheadState:
     prefetched: int = 0
     hits_on_prefetched: int = 0
     _outstanding: set = field(default_factory=set)
+    #: End (exclusive) of the page range the last prefetch queued.
+    _queued_end: int = 0
 
     def update(self, index: int) -> List[int]:
         """Record a read at ``index``; return page indexes to prefetch."""
@@ -46,11 +48,17 @@ class ReadaheadState:
 
         if self.streak < 2:
             return []
-        # Established sequential stream: prefetch ahead and grow.
+        # Established sequential stream: prefetch ahead and grow. Past the
+        # stream's first prefetch, the previous update queued ``index`` up
+        # to ``_queued_end`` and only ``index`` has been read since, so
+        # only the pages from ``_queued_end`` on can be missing.
+        end = index + 1 + self.window
+        start = self._queued_end if self.streak > 2 else index + 1
         pages = []
-        for i in range(index + 1, index + 1 + self.window):
+        for i in range(start, end):
             if i not in outstanding:
                 pages.append(i)
+        self._queued_end = end
         outstanding.update(pages)
         self.prefetched += len(pages)
         self.window = min(self.window * 2, MAX_WINDOW)

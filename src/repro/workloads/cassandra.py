@@ -99,13 +99,9 @@ class CassandraWorkload(Workload):
         # JVM overhead on every op: pointer-chased object graph reads,
         # allocation/GC-card writes, and tier-independent CPU time.
         for i in range(JVM_GRAPH_TOUCHES):
-            self.proc.touch(
-                "jvm_heap", KB, page_hint=request.key + 31 * i, cpu=cpu
-            )
+            self.proc.touch("jvm_heap", KB, page_hint=request.key + 31 * i)
         for i in range(JVM_WRITE_TOUCHES):
-            self.proc.touch(
-                "jvm_heap", KB, write=True, page_hint=op_index + 7 * i, cpu=cpu
-            )
+            self.proc.touch("jvm_heap", KB, write=True, page_hint=op_index + 7 * i)
         self.kernel.clock.advance(JVM_CPU_NS)
 
         if request.op is YCSBOp.READ:
@@ -117,9 +113,7 @@ class CassandraWorkload(Workload):
 
     def _do_read(self, key: int, cpu: int) -> None:
         hit = self.rng.random() < APP_CACHE_HIT_RATE
-        self.proc.touch(
-            "row_cache", self.config.value_bytes, page_hint=key, cpu=cpu
-        )
+        self.proc.touch("row_cache", self.config.value_bytes, page_hint=key)
         if hit or not self._sstables:
             return
         # Cache miss: read from a random SSTable.
@@ -136,7 +130,7 @@ class CassandraWorkload(Workload):
         )
         self._commitlog_offset += self.config.value_bytes
         self.proc.touch(
-            "row_cache", self.config.value_bytes, write=True, page_hint=key, cpu=cpu
+            "row_cache", self.config.value_bytes, write=True, page_hint=key
         )
         self._writes_since_flush += 1
         if self._writes_since_flush >= WRITES_PER_FLUSH:

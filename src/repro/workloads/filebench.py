@@ -134,8 +134,8 @@ class FilebenchWorkload(Workload):
         else:
             self._webserver_op(cpu)
         # Minimal app-side work: copy + checksum in the I/O buffer.
-        self.proc.touch("iobuf", 4 * KB, write=True, cpu=cpu)
-        self.proc.touch("iobuf", 4 * KB, page_hint=op_index, cpu=cpu)
+        self.proc.touch("iobuf", 4 * KB, write=True)
+        self.proc.touch("iobuf", 4 * KB, page_hint=op_index)
 
     def _fileserver_op(self, op_index: int, cpu: int) -> None:
         thread = op_index % self.config.num_threads

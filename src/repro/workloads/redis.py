@@ -97,14 +97,12 @@ class RedisWorkload(Workload):
         # and value access hit the Zipf-hot region of the key-value heap.
         page_hint = key // 4  # ~4 values per page
         for i in range(3):  # protocol parse, arg vector, command dispatch
-            self.proc.touch("client_bufs", KB, page_hint=op_index + i, cpu=cpu)
+            self.proc.touch("client_bufs", KB, page_hint=op_index + i)
         for i in range(3):  # dict probe, robj, expiry check
-            self.proc.touch("heap", KB, page_hint=page_hint + 7 * i, cpu=cpu)
-        self.proc.touch("heap", value, write=is_set, page_hint=page_hint + 1, cpu=cpu)
+            self.proc.touch("heap", KB, page_hint=page_hint + 7 * i)
+        self.proc.touch("heap", value, write=is_set, page_hint=page_hint + 1)
         for i in range(4):  # reply serialization + event-loop bookkeeping
-            self.proc.touch(
-                "client_bufs", KB, write=True, page_hint=op_index + 3 + i, cpu=cpu
-            )
+            self.proc.touch("client_bufs", KB, write=True, page_hint=op_index + 3 + i)
 
         # Reply: OK for sets, the value for gets.
         reply = 16 if is_set else value
@@ -125,7 +123,7 @@ class RedisWorkload(Workload):
         chunk = 64 * KB
         while offset < dump_bytes:
             # Serialize from the heap, write to the page cache.
-            self.proc.touch("heap", chunk, page_hint=offset // 4096, cpu=cpu)
+            self.proc.touch("heap", chunk, page_hint=offset // 4096)
             self.sys.write(fh, offset, min(chunk, dump_bytes - offset), cpu=cpu)
             offset += chunk
         self.sys.fsync(fh, cpu=cpu, background=True)

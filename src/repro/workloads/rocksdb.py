@@ -192,15 +192,12 @@ class RocksDBWorkload(Workload):
 
     def _do_write(self, op_index: int, cpu: int) -> None:
         # App side: skiplist probe, then arena append into the memtable.
-        self.proc.touch(
-            "memtable", 4 * KB, page_hint=self._writes_since_flush + 5, cpu=cpu
-        )
+        self.proc.touch("memtable", 4 * KB, page_hint=self._writes_since_flush + 5)
         self.proc.touch(
             "memtable",
             self.config.value_bytes,
             write=True,
             page_hint=self._writes_since_flush,
-            cpu=cpu,
         )
         self._writes_since_flush += 1
         if self._writes_since_flush >= WRITES_PER_FLUSH:
@@ -225,12 +222,12 @@ class RocksDBWorkload(Workload):
             return
         # Index binary search + block-cache probe happen on every read.
         key = self.rng.randint(0, 1 << 20)
-        self.proc.touch("block_cache", 4 * KB, page_hint=key, cpu=cpu)
+        self.proc.touch("block_cache", 4 * KB, page_hint=key)
         self.proc.touch(
-            "block_cache", self.config.value_bytes, write=True, page_hint=key + 3, cpu=cpu
+            "block_cache", self.config.value_bytes, write=True, page_hint=key + 3
         )
         if self.rng.random() < 0.05:
-            self.proc.touch("table_readers", 4 * KB, page_hint=key * 7, cpu=cpu)
+            self.proc.touch("table_readers", 4 * KB, page_hint=key * 7)
         if self.rng.random() < self.BLOCK_CACHE_HIT_RATE:
             return  # served from the application-level cache
 

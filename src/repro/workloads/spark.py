@@ -74,8 +74,7 @@ class SparkWorkload(Workload):
         fh = self.sys.creat(name, cpu=cpu)
         offset = 0
         while offset < nbytes:
-            self.proc.touch(from_region, IO_UNIT, write=True,
-                            page_hint=offset // 4096, cpu=cpu)
+            self.proc.touch(from_region, IO_UNIT, write=True, page_hint=offset // 4096)
             self.sys.write(fh, offset, IO_UNIT, cpu=cpu)
             offset += IO_UNIT
         self.sys.fsync(fh, cpu=cpu)
@@ -86,8 +85,7 @@ class SparkWorkload(Workload):
         offset = 0
         while offset < nbytes:
             self.sys.read(fh, offset, IO_UNIT, cpu=cpu)
-            self.proc.touch(to_region, IO_UNIT, write=True,
-                            page_hint=offset // 4096, cpu=cpu)
+            self.proc.touch(to_region, IO_UNIT, write=True, page_hint=offset // 4096)
             offset += IO_UNIT
         self.sys.close(fh, cpu=cpu)
 
@@ -103,7 +101,7 @@ class SparkWorkload(Workload):
         name = self._inputs[self._cursor]
         self._read_file(name, CHUNK_BYTES, cpu, to_region="sort_buffer")
         # Sort the partition: heavy app-side work over the sort buffer.
-        self.proc.touch("sort_buffer", CHUNK_BYTES // 4, write=True, cpu=cpu)
+        self.proc.touch("sort_buffer", CHUNK_BYTES // 4, write=True)
         spill = f"/spark/spill-{self._cursor:05d}"
         self._write_file(spill, CHUNK_BYTES, cpu, from_region="sort_buffer")
         self._spills.append(spill)

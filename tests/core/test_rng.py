@@ -1,5 +1,8 @@
 """Tests for the deterministic RNG."""
 
+import random
+import zlib
+
 import pytest
 
 from repro.core.rng import DeterministicRNG
@@ -33,6 +36,41 @@ class TestDeterminism:
         s2 = root.stream("interference")
         fresh = DeterministicRNG(seed=7).stream("interference")
         assert s2.randint(0, 10**9) == fresh.randint(0, 10**9)
+
+
+def _draws(rng, n=10_000):
+    """A mixed sequence of ``n`` draws through the three draw methods."""
+    seq = ("a", "b", "c", "d", "e")
+    out = []
+    for i in range(n):
+        kind = i % 3
+        if kind == 0:
+            out.append(rng.random())
+        elif kind == 1:
+            out.append(rng.randint(0, 1 << 20))
+        else:
+            out.append(rng.choice(seq))
+    return out
+
+
+class TestSameDrawsAsRandom:
+    """The draws are ``random.Random``'s, bit for bit: binding them must
+    not change a single payload."""
+
+    def test_root_stream(self):
+        assert _draws(DeterministicRNG(42)) == _draws(random.Random(42))
+
+    def test_named_stream(self):
+        child_seed = zlib.crc32(b"7:workload") & 0x7FFFFFFF
+        got = _draws(DeterministicRNG(7).stream("workload"))
+        assert got == _draws(random.Random(child_seed))
+
+    def test_zipf_shares_the_generator(self):
+        """``zipf`` draws from the same generator as ``random``."""
+        rng, bare = DeterministicRNG(3), random.Random(3)
+        rng.zipf(1000)
+        bare.random()
+        assert rng.random() == bare.random()
 
 
 class TestZipf:

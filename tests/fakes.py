@@ -90,9 +90,7 @@ class FakeKernel:
         self.clock.advance(cost)
         return cost
 
-    def access_frame(
-        self, frame: PageFrame, nbytes: int, *, write: bool = False, cpu: int = 0
-    ) -> int:
+    def access_frame(self, frame: PageFrame, nbytes: int, write: bool = False) -> int:
         tier = self.topology.tier(frame.tier_name)
         cost = tier.access_cost_ns(nbytes, write=write)
         frame.record_access(self.clock.now(), write=write)

@@ -1,9 +1,9 @@
 """``refs_by_tier``, ``refs_by_owner`` and the reference report are
 marginals of one counter.
 
-``Kernel._charge`` keeps a single (owner, tier) counter of time,
+``Kernel.access_frame`` keeps a single (owner, tier) counter of time,
 references and bytes, the one behind ``access_ns_by``; every reference
-report is summed from it. Here a wrapper around ``_charge`` recounts
+report is summed from it. Here a wrapper around ``access_frame`` recounts
 every charge and its bytes per (owner, tier) on a two-tier run and on an
 Optane run (the NUMA cost path), and every report must equal the
 recount's marginals.
@@ -24,18 +24,19 @@ SCALE = 4096
 
 def _recounting(kernel):
     """Count every charge and its bytes per (owner, tier) behind
-    ``kernel._charge``."""
+    ``kernel.access_frame``, which ``access_object`` and the processes the
+    workload builds afterwards call through the instance."""
     counts = Counter()
     nbytes_by = Counter()
-    charge = kernel._charge  # noqa: SLF001
+    charge = kernel.access_frame
 
-    def counting(frame, nbytes, write):
+    def counting(frame, nbytes, write=False):
         key = (frame.owner, frame.tier_name)
         counts[key] += 1
         nbytes_by[key] += nbytes
         return charge(frame, nbytes, write)
 
-    kernel._charge = counting  # noqa: SLF001
+    kernel.access_frame = counting
     return counts, nbytes_by
 
 

@@ -70,15 +70,21 @@ class TestBlockMQDispatchSpread:
 
 
 class TestFrameAccessAttribution:
-    def test_reads_writes_counted(self, kernel):
-        frames = kernel.alloc_app_pages(1)
-        frame = frames[0]
-        kernel.access_frame(frame, 100, write=False)
-        kernel.access_frame(frame, 100, write=True)
-        kernel.access_frame(frame, 100, write=True)
-        assert frame.reads == 1
-        assert frame.writes == 2
+    def test_dirty_bit_and_charge_cell(self):
+        from repro.platforms.twotier import build_two_tier_kernel
+
+        kernel, _ = build_two_tier_kernel("naive", scale_factor=4096)
+        frame = kernel.alloc_app_pages(1)[0]
+        kernel.reset_reference_counters()
+        cost = kernel.access_frame(frame, 100, write=False)
+        assert not frame.dirty
+        cost += kernel.access_frame(frame, 100, write=True)
+        cost += kernel.access_frame(frame, 100, write=True)
         assert frame.dirty
+        key = (frame.owner, frame.tier_name)
+        assert kernel.access_ns_by == {key: cost}
+        assert kernel.refs_by_owner[frame.owner] == 3
+        assert kernel.ref_bytes_by_owner[frame.owner] == 300
 
 
 class TestRadixDeepSpine:
